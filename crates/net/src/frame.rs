@@ -109,9 +109,8 @@ impl<W: Write> MessageSender<W> {
     ///
     /// Propagates transport errors.
     pub fn send(&mut self, message: &Value) -> std::io::Result<()> {
-        let mut line = String::with_capacity(FRAME_PREFIX.len() + 64);
-        line.push_str(FRAME_PREFIX);
-        line.push_str(&message.encode());
+        let mut line = String::from(FRAME_PREFIX);
+        message.encode_into(&mut line);
         line.push('\n');
         self.inner.write_all(line.as_bytes())?;
         self.inner.flush()
@@ -251,6 +250,23 @@ mod tests {
         let len = wire.len() - 1; // payload bytes excluding newline
         let mut receiver = MessageReceiver::with_max_frame(wire.as_slice(), len);
         assert_eq!(receiver.recv().unwrap(), Some(Value::UInt(7)));
+    }
+
+    #[test]
+    fn string_frame_just_under_the_default_bound_round_trips() {
+        // Reading is linear in frame length, so the frame bound is also
+        // the parse-work bound: this frame would not finish parsing
+        // under a reader that rescans the rest of the line per char.
+        let unit = "row 0101 \u{e9}\u{2211}\t\"q\"\u{1f600};";
+        let unit_len = Value::Str(unit.into()).encode().len() - 2;
+        let room = DEFAULT_MAX_FRAME - FRAME_PREFIX.len() - 2;
+        let message = Value::Str(unit.repeat(room / unit_len));
+        let wire = send_all(std::slice::from_ref(&message));
+        let line = wire.len() - 1;
+        assert!(line <= DEFAULT_MAX_FRAME && line + unit_len > DEFAULT_MAX_FRAME);
+        let mut receiver = MessageReceiver::new(wire.as_slice());
+        assert_eq!(receiver.recv().unwrap(), Some(message));
+        assert!(receiver.recv().unwrap().is_none());
     }
 
     #[test]

@@ -89,11 +89,13 @@ impl Value {
     /// is what lets the frame layer delimit messages by line.
     pub fn encode(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.encode_into(&mut out);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the [`encode`](Self::encode) form to `out`, so the
+    /// frame writer builds a frame once, in place.
+    pub(crate) fn encode_into(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
@@ -106,7 +108,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out);
+                    item.encode_into(out);
                 }
                 out.push(']');
             }
@@ -118,7 +120,7 @@ impl Value {
                     }
                     write_string(key, out);
                     out.push(':');
-                    value.write(out);
+                    value.encode_into(out);
                 }
                 out.push('}');
             }
@@ -132,6 +134,7 @@ impl Value {
     /// A [`JsonError`] carrying the byte offset of the first violation.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -145,21 +148,37 @@ impl Value {
     }
 }
 
+/// The bytes a string cannot carry raw: the quote, the backslash and
+/// the control characters. All are ASCII, so a run of other bytes in
+/// valid UTF-8 always ends on a char boundary.
+fn must_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
 fn write_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !must_escape(b) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -182,6 +201,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -249,13 +269,12 @@ impl<'a> Parser<'a> {
         if matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E')) {
             return Err(self.err("fractions/exponents are outside the protocol dialect"));
         }
-        let digits = &self.bytes[start..self.pos];
-        if digits.len() > 1 && digits[0] == b'0' {
+        let digits = &self.text[start..self.pos];
+        if digits.len() > 1 && digits.starts_with('0') {
             self.pos = start;
             return Err(self.err("leading zeros are not allowed"));
         }
-        std::str::from_utf8(digits)
-            .expect("digits are ascii")
+        digits
             .parse::<u64>()
             .map(Value::UInt)
             .map_err(|_| JsonError {
@@ -318,13 +337,11 @@ impl<'a> Parser<'a> {
                     return Err(self.err("raw control character in string"));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // One scan to the run's end, a char boundary (see
+                    // `must_escape`), then one copy.
+                    let len = self.bytes[start..].iter().position(|&b| must_escape(b));
+                    self.pos = len.map_or(self.bytes.len(), |n| start + n);
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -477,5 +494,53 @@ mod tests {
         let err = Value::parse("{\"key\": -3}").unwrap_err();
         assert_eq!(err.offset, 8);
         assert!(err.to_string().contains("byte 8"));
+    }
+
+    #[test]
+    fn raw_control_byte_reports_its_own_offset_after_a_run() {
+        // After multibyte text: 'é' is two bytes, so \u{1} sits at 7.
+        let err = Value::parse("\"h\u{e9}llo\u{1}\"").unwrap_err();
+        assert_eq!(err.offset, 7, "{err}");
+        assert!(err.message.contains("raw control character"), "{err}");
+        // After a long run, and after a run that follows an escape.
+        let long = "a".repeat(10_000);
+        let err = Value::parse(&format!("\"{long}\u{1f}tail\"")).unwrap_err();
+        assert_eq!(err.offset, 1 + long.len(), "{err}");
+        let err = Value::parse(&format!("\"\\n{long}\n\"")).unwrap_err();
+        assert_eq!(err.offset, 3 + long.len(), "{err}");
+    }
+
+    #[test]
+    fn unknown_escape_after_a_long_run_reports_the_escape_start() {
+        let long = "x".repeat(10 * 1024);
+        let err = Value::parse(&format!("\"{long}\\q\"")).unwrap_err();
+        assert_eq!(err.offset, 1 + long.len(), "{err}");
+        assert!(err.message.contains("unknown escape '\\q'"), "{err}");
+        // Unterminated after a run: the offset is the end of input.
+        let doc = format!("\"{long}");
+        assert_eq!(Value::parse(&doc).unwrap_err().offset, doc.len());
+    }
+
+    #[test]
+    fn mixed_runs_escapes_and_wide_scalars_round_trip() {
+        let s =
+            "run \"q\" back\\slash\n\r\t\u{8}\u{c}\u{0}\u{1f} 4-byte \u{1f600}\u{10ffff} é∑ end";
+        let v = Value::Str(s.to_string());
+        let text = v.encode();
+        // The writer's bytes are pinned: short escapes for quote,
+        // backslash, \n, \r and \t; lowercase \u00XX for every other
+        // control byte; everything else raw.
+        assert_eq!(
+            text,
+            "\"run \\\"q\\\" back\\\\slash\\n\\r\\t\\u0008\\u000c\\u0000\\u001f \
+             4-byte \u{1f600}\u{10ffff} é∑ end\""
+        );
+        assert_eq!(Value::parse(&text).unwrap(), v);
+        // Every escape the reader accepts, between runs of wide text.
+        let doc = "\"\u{1f600}a\\\"b\\\\c\\/d\\ne\\rf\\tg\\bh\\fi\\u00e9j\\u2211\u{1f600}\"";
+        assert_eq!(
+            Value::parse(doc).unwrap(),
+            Value::Str("\u{1f600}a\"b\\c/d\ne\rf\tg\u{8}h\u{c}iéj∑\u{1f600}".into())
+        );
     }
 }

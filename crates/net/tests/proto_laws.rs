@@ -1,7 +1,8 @@
 //! Protocol laws, property-tested: `decode(encode(m)) == m` for every
 //! verb, every reply, and every problem family — over the full frame
 //! stack (JSON encode → line frame → bounded read → JSON parse) — and
-//! line-numbered decode errors on trailing garbage.
+//! line-numbered decode errors on trailing garbage; plus the totality
+//! of the JSON string codec and of the frame reader on arbitrary bytes.
 
 use hycim_cop::binpack::BinPacking;
 use hycim_cop::coloring::GraphColoring;
@@ -13,7 +14,9 @@ use hycim_cop::spinglass::SpinGlass;
 use hycim_cop::tsp::Tsp;
 use hycim_cop::{AnyProblem, CopError};
 use hycim_net::json::Value;
-use hycim_net::{JobSpec, MessageReceiver, MessageSender, Request, Response, WireSolution};
+use hycim_net::{
+    FrameError, JobSpec, MessageReceiver, MessageSender, Request, Response, WireSolution,
+};
 use hycim_service::{DisposeOutcome, JobStatus};
 use proptest::prelude::*;
 
@@ -64,6 +67,86 @@ fn arb_solution() -> impl Strategy<Value = WireSolution> {
                 iterations,
             },
         )
+}
+
+/// Strings weighted towards what the codec must get right: quotes,
+/// backslashes, every control byte and other ASCII (from the `u8`),
+/// and arbitrary scalars up to 4-byte UTF-8 (from the `u32`).
+fn arb_string() -> impl Strategy<Value = String> {
+    proptest::collection::vec((any::<bool>(), any::<u8>(), any::<u32>()), 0..64).prop_map(|picks| {
+        picks
+            .into_iter()
+            .map(|(ascii, b, u)| {
+                if ascii {
+                    char::from(b & 0x7f)
+                } else {
+                    char::from_u32(u % 0x11_0000).unwrap_or('\u{fffd}')
+                }
+            })
+            .collect()
+    })
+}
+
+/// Bytes that are mostly JSON tokens, so the reader gets past the
+/// prefix and UTF-8 checks and into the parser, with raw bytes
+/// (invalid UTF-8 included) mixed in.
+fn arb_frame_bytes() -> impl Strategy<Value = Vec<u8>> {
+    // '|'-separated; whitespace and raw control bytes are tokens too.
+    const TOKENS: &str = "{|}|[|]|\"|\"k\"|,|:|\\|\\u|00e9|d800|\\q|0|7|18446744073709551616|\
+                          null|true|fals|-|.5|e3|é|\u{1f600}| |\t|\r|\n|\u{1}";
+    let tokens: Vec<&str> = TOKENS.split('|').collect();
+    proptest::collection::vec((any::<u8>(), any::<u8>()), 0..96).prop_map(move |picks| {
+        let mut bytes = Vec::new();
+        for (sel, b) in picks {
+            if sel < 248 {
+                bytes.extend_from_slice(tokens[usize::from(b) % tokens.len()].as_bytes());
+            } else {
+                bytes.push(b);
+            }
+        }
+        bytes
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `parse(encode(Str(s))) == Str(s)` for every string, directly
+    /// and through the frame stack.
+    #[test]
+    fn any_string_round_trips(s in arb_string()) {
+        let v = Value::Str(s);
+        let text = v.encode();
+        prop_assert!(!text.contains('\n'), "encoded form is single-line");
+        prop_assert_eq!(Value::parse(&text).expect("encoded string parses"), v.clone());
+        prop_assert_eq!(round_trip(&v), v);
+    }
+
+    /// The frame reader is total: on `hycim1 ` plus any bytes it
+    /// yields frames, a clean end or a typed error — never a panic —
+    /// and a JSON error's offset lies inside the payload.
+    #[test]
+    fn frame_reader_is_total(bytes in arb_frame_bytes()) {
+        let mut wire = b"hycim1 ".to_vec();
+        wire.extend_from_slice(&bytes);
+        let first_line = wire.split(|&b| b == b'\n').next().expect("split yields one");
+        let payload_len = first_line.len() - "hycim1 ".len();
+        let mut receiver = MessageReceiver::new(wire.as_slice());
+        match receiver.recv() {
+            Ok(frame) => prop_assert!(frame.is_some(), "a prefixed line is a frame"),
+            Err(FrameError::Json(e)) => prop_assert!(e.offset <= payload_len, "{}", e),
+            Err(FrameError::BadPrefix { .. } | FrameError::Truncated { .. }) => {}
+            Err(other) => prop_assert!(false, "unexpected error {other:?}"),
+        }
+        // Whatever follows a newline token is read on as well: it must
+        // not panic either.
+        for _ in 0..bytes.len() {
+            match receiver.recv() {
+                Ok(Some(_)) => {}
+                Ok(None) | Err(_) => break,
+            }
+        }
+    }
 }
 
 proptest! {
