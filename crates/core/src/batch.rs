@@ -2,13 +2,13 @@
 //! Monte-Carlo protocol (Sec 4.3 runs 1000 initial states per
 //! instance) fanned out over OS threads.
 //!
-//! [`BatchRunner`] replaces the serial ensemble loop for multi-start
-//! evaluation. Its determinism guarantee: every (problem, replica)
-//! cell derives its own seed from the root seed with
-//! [`replica_seed`], and every [`Engine::solve`] call is a pure
-//! function of that seed — so results are **bit-identical regardless
-//! of thread count or scheduling**, and a single cell can be re-run in
-//! isolation to reproduce a batch entry.
+//! [`BatchRunner`] is the multi-start evaluation path. Its
+//! determinism guarantee: every (problem, replica) cell derives its
+//! own seed from the root seed with [`replica_seed`], and every
+//! [`Engine::solve`] call is a pure function of that seed — so results
+//! are **bit-identical regardless of thread count or scheduling**, and
+//! a single cell can be re-run in isolation to reproduce a batch
+//! entry.
 //!
 //! # Example
 //!
@@ -110,11 +110,13 @@ impl BatchRunner {
         }
     }
 
-    /// Publishes [`run_telemetry`](Self::run_telemetry) observations
-    /// into `obs` (under `batch.*` names, wall-clock under
-    /// `timing.batch.*`) instead of discarding them. Observations are
-    /// recorded after the fan-out joins, in replica order, so every
-    /// non-`timing.` metric is bit-identical across thread counts.
+    /// Publishes observations into `obs` instead of discarding them:
+    /// every run records each solve's anneal counts under
+    /// `core.anneal.<backend>.*` (see [`Engine::backend`]), and
+    /// [`run_telemetry`](Self::run_telemetry) adds `batch.*` names
+    /// (wall-clock under `timing.batch.*`). Observations are recorded
+    /// after the fan-out joins, in seed order, so every non-`timing.`
+    /// metric is bit-identical across thread counts.
     pub fn with_obs(mut self, obs: Arc<ObsRegistry>) -> Self {
         self.obs = Some(obs);
         self
@@ -165,7 +167,9 @@ impl BatchRunner {
         P: CopProblem,
         E: Engine<P>,
     {
-        self.map_indexed(seeds.len(), |k| engine.solve(seeds[k]))
+        let solutions = self.map_indexed(seeds.len(), |k| engine.solve(seeds[k]));
+        self.record_anneal(engine.backend(), &solutions);
+        solutions
     }
 
     /// Like [`run`](Self::run), but pairs every solution with its
@@ -197,6 +201,7 @@ impl BatchRunner {
             };
             (solution, telemetry)
         });
+        self.record_anneal(engine.backend(), cells.iter().map(|(s, _)| s));
         if let Some(obs) = &self.obs {
             // Feed the registry after the join, in replica order:
             // no hot-path contention, and the non-timing metrics are
@@ -242,9 +247,40 @@ impl BatchRunner {
                 engines[p].solve(replica_seed(root_seed, p as u64, k as u64))
             })
             .into_iter();
-        (0..engines.len())
+        let rows: Vec<Vec<Solution<P>>> = (0..engines.len())
             .map(|_| (0..replicas).map(|_| flat.next().expect("sized")).collect())
-            .collect()
+            .collect();
+        for (engine, row) in engines.iter().zip(&rows) {
+            self.record_anneal(engine.backend(), row);
+        }
+        rows
+    }
+
+    /// Records each finished solve's anneal counts from its trace into
+    /// the registry under `core.anneal.<backend>.*`. Engines publish
+    /// nothing themselves: this runs after the join, so it draws no
+    /// RNG and adds no branch to any annealing loop.
+    fn record_anneal<'a, P: CopProblem + 'a>(
+        &self,
+        backend: &str,
+        solutions: impl IntoIterator<Item = &'a Solution<P>>,
+    ) {
+        let Some(obs) = &self.obs else {
+            return;
+        };
+        let counter = |name: &str| obs.counter(&format!("core.anneal.{backend}.{name}"));
+        let solves = counter("solves");
+        let iterations = counter("iterations");
+        let accepted = counter("accepted");
+        let rejected_metropolis = counter("rejected_metropolis");
+        let rejected_infeasible = counter("rejected_infeasible");
+        for trace in solutions.into_iter().map(|s| &s.trace) {
+            solves.inc();
+            iterations.add(trace.iterations() as u64);
+            accepted.add(trace.accepted() as u64);
+            rejected_metropolis.add(trace.rejected_metropolis() as u64);
+            rejected_infeasible.add(trace.rejected_infeasible() as u64);
+        }
     }
 
     /// Order-preserving parallel map over `0..n` on this runner's

@@ -19,11 +19,15 @@ pub struct Solution<P: CopProblem> {
     /// Domain objective of `assignment` (lower is better; may be
     /// `f64::INFINITY` when the configuration does not decode).
     pub objective: f64,
-    /// Whether `assignment` is fully feasible in the domain — always
-    /// true for HyCiM on single-constraint problems (the filter never
-    /// admits violations into the accepted trajectory); frequently
-    /// false for the D-QUBO baseline (paper Fig. 10: "trapped in
-    /// infeasible input configuration").
+    /// Whether `assignment` is fully feasible in the domain,
+    /// recomputed from the assignment by `problem.is_feasible` (never
+    /// taken from the hardware). For the filter engines, infeasible
+    /// results are rare but possible: the noisy filter can admit a
+    /// violating flip, and the two extra filter reads that guard the
+    /// best state (paper Fig. 6(b)) make it unlikely, not impossible,
+    /// that such a state is returned. Frequently false for the D-QUBO
+    /// baseline (paper Fig. 10: "trapped in infeasible input
+    /// configuration").
     pub feasible: bool,
     /// Energy as reported by the (noisy) hardware for its best state.
     pub reported_energy: f64,

@@ -1,8 +1,8 @@
 //! The observability determinism law: instrumentation consumes zero
 //! RNG draws, so every engine returns **bit-identical** `Solution`s
-//! whether or not a metrics registry is installed, and a metrics
-//! snapshot minus the `timing.` section is byte-identical across two
-//! runs of the same seed.
+//! whether or not its runner carries a metrics registry, and a
+//! metrics snapshot minus the `timing.` section is byte-identical
+//! across two runs of the same seed.
 
 use std::sync::Arc;
 
@@ -10,55 +10,50 @@ use hycim_cop::generator::QkpGenerator;
 use hycim_core::{BatchRunner, EngineKind, EngineSettings, HyCimConfig, SoftwareEngine};
 use hycim_obs::ObsRegistry;
 
-/// Every engine kind, with and without the global registry: the
+/// Every engine kind, with and without a registry on the runner: the
 /// solves must not differ by a single bit, and the instrumented run
-/// must actually have published counters.
-///
-/// All global install/uninstall traffic lives in this one test (the
-/// slot is process-wide, and tests in one binary run concurrently).
+/// must have recorded the engine's anneal counters under its own
+/// backend label.
 #[test]
 fn solutions_are_bit_identical_with_and_without_a_registry() {
     let inst = QkpGenerator::new(20, 0.5).generate(11);
     let settings = EngineSettings::new(30, 2);
+    let seeds = [0, 1, 2];
 
     for kind in EngineKind::ALL {
         let engine = kind
             .build(&inst, &settings)
             .expect("QKP encodes everywhere");
-        let bare: Vec<_> = (0..3).map(|seed| engine.solve(seed)).collect();
+        let bare = BatchRunner::serial().run_seeds(&engine, &seeds);
 
         let obs = Arc::new(ObsRegistry::new());
-        let previous = hycim_obs::install(Arc::clone(&obs));
-        let instrumented: Vec<_> = (0..3).map(|seed| engine.solve(seed)).collect();
-        match previous {
-            Some(previous) => {
-                hycim_obs::install(previous);
-            }
-            None => {
-                hycim_obs::uninstall();
-            }
-        }
+        let instrumented = BatchRunner::serial()
+            .with_obs(Arc::clone(&obs))
+            .run_seeds(&engine, &seeds);
 
         for (seed, (a, b)) in bare.iter().zip(&instrumented).enumerate() {
             assert_eq!(a.assignment, b.assignment, "{kind} diverged at seed {seed}");
             assert_eq!(a.objective, b.objective, "{kind} objective at seed {seed}");
             assert_eq!(
-                a.reported_energy, b.reported_energy,
+                a.reported_energy.to_bits(),
+                b.reported_energy.to_bits(),
                 "{kind} energy at seed {seed}"
             );
             assert_eq!(a.feasible, b.feasible, "{kind} feasibility at seed {seed}");
         }
 
-        // The instrumented run really went through the flush hook.
         let snapshot = obs.snapshot();
         assert_eq!(
-            snapshot.counter("core.anneal.solves"),
+            snapshot.counter(&format!("core.anneal.{kind}.solves")),
             Some(3),
-            "{kind} published no solve counters"
+            "{kind} recorded no solve counters"
         );
         assert!(
-            snapshot.counter("core.anneal.iterations").unwrap() > 0,
-            "{kind} published no iterations"
+            snapshot
+                .counter(&format!("core.anneal.{kind}.iterations"))
+                .unwrap()
+                > 0,
+            "{kind} recorded no iterations"
         );
     }
 }

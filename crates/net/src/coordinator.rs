@@ -414,7 +414,7 @@ impl Coordinator {
         mut chain: Vec<String>,
     ) -> Result<Vec<WireSolution>, NetError> {
         if self.local_fallback {
-            match local::solve_spec(&job.spec) {
+            match local::solve_spec(&job.spec, &self.obs) {
                 Ok(solutions) => {
                     self.obs.counter("coord.shards_local").inc();
                     self.obs.tracer().record(Event::ShardLocalSolve {

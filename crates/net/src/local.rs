@@ -11,15 +11,18 @@
 //! [`BatchRunner::run_seeds`] over the same seeds, a shard solved
 //! locally is byte-for-byte the shard a worker would have returned.
 
-use hycim_core::{BatchRunner, EngineKind, EngineSettings};
+use std::sync::Arc;
 
 use hycim_cop::{AnyProblem, CopProblem};
+use hycim_core::{BatchRunner, EngineKind, EngineSettings};
+use hycim_obs::ObsRegistry;
 
 use crate::proto::{JobSpec, WireSolution};
 
 /// Solves every seed of a decoded spec, dispatched over the family
 /// enum (the engine is built on the calling thread, so trait objects
-/// never cross threads).
+/// never cross threads). The solves' anneal counters land in `obs`
+/// under `core.anneal.<engine tag>.*`.
 ///
 /// # Errors
 ///
@@ -30,16 +33,17 @@ pub(crate) fn solve_any(
     kind: EngineKind,
     settings: &EngineSettings,
     seeds: &[u64],
+    obs: &Arc<ObsRegistry>,
 ) -> Result<Vec<WireSolution>, String> {
     match problem {
-        AnyProblem::Qkp(p) => solve_typed(p, kind, settings, seeds),
-        AnyProblem::Knapsack(p) => solve_typed(p, kind, settings, seeds),
-        AnyProblem::MaxCut(p) => solve_typed(p, kind, settings, seeds),
-        AnyProblem::SpinGlass(p) => solve_typed(p, kind, settings, seeds),
-        AnyProblem::Tsp(p) => solve_typed(p, kind, settings, seeds),
-        AnyProblem::Coloring(p) => solve_typed(p, kind, settings, seeds),
-        AnyProblem::BinPack(p) => solve_typed(p, kind, settings, seeds),
-        AnyProblem::Mkp(p) => solve_typed(p, kind, settings, seeds),
+        AnyProblem::Qkp(p) => solve_typed(p, kind, settings, seeds, obs),
+        AnyProblem::Knapsack(p) => solve_typed(p, kind, settings, seeds, obs),
+        AnyProblem::MaxCut(p) => solve_typed(p, kind, settings, seeds, obs),
+        AnyProblem::SpinGlass(p) => solve_typed(p, kind, settings, seeds, obs),
+        AnyProblem::Tsp(p) => solve_typed(p, kind, settings, seeds, obs),
+        AnyProblem::Coloring(p) => solve_typed(p, kind, settings, seeds, obs),
+        AnyProblem::BinPack(p) => solve_typed(p, kind, settings, seeds, obs),
+        AnyProblem::Mkp(p) => solve_typed(p, kind, settings, seeds, obs),
     }
 }
 
@@ -48,9 +52,11 @@ fn solve_typed<P: CopProblem + 'static>(
     kind: EngineKind,
     settings: &EngineSettings,
     seeds: &[u64],
+    obs: &Arc<ObsRegistry>,
 ) -> Result<Vec<WireSolution>, String> {
     let engine = kind.build(problem, settings).map_err(|e| e.to_string())?;
     Ok(BatchRunner::serial()
+        .with_obs(Arc::clone(obs))
         .run_seeds(&engine, seeds)
         .iter()
         .map(WireSolution::from_solution)
@@ -58,7 +64,8 @@ fn solve_typed<P: CopProblem + 'static>(
 }
 
 /// Runs a whole spec on the local host: decode, build, solve every
-/// seed — the coordinator's graceful-degradation path.
+/// seed, recording into `obs` — the coordinator's
+/// graceful-degradation path.
 ///
 /// # Errors
 ///
@@ -67,10 +74,13 @@ fn solve_typed<P: CopProblem + 'static>(
 /// instance. These are exactly the failures a worker would have
 /// reported, so a spec no worker could run does not silently
 /// "succeed" locally either.
-pub(crate) fn solve_spec(spec: &JobSpec) -> Result<Vec<WireSolution>, String> {
+pub(crate) fn solve_spec(
+    spec: &JobSpec,
+    obs: &Arc<ObsRegistry>,
+) -> Result<Vec<WireSolution>, String> {
     let kind = spec.engine_kind().map_err(|e| e.to_string())?;
     let problem = spec
         .decode_problem()
         .map_err(|e| format!("problem does not parse: {e}"))?;
-    solve_any(&problem, kind, &spec.settings(), &spec.seeds)
+    solve_any(&problem, kind, &spec.settings(), &spec.seeds, obs)
 }

@@ -384,7 +384,7 @@ fn submit(spec: JobSpec, shared: &WorkerShared, owned: &mut HashSet<u64>) -> Res
             if inject_panic {
                 panic!("injected worker fault: submit {sequence} dies mid-shard");
             }
-            let solutions = crate::local::solve_any(&problem, kind, &settings, &seeds)?;
+            let solutions = crate::local::solve_any(&problem, kind, &settings, &seeds, &obs)?;
             // Flushed once per shard, after the solve — the anneal loop
             // itself stays untouched (the determinism contract).
             obs.counter("net.shards_solved").inc();

@@ -12,7 +12,10 @@
 //!   `Running` entries, job tables drain to zero;
 //! * the `stats` verb round-trips a worker's metrics registry, and a
 //!   coordinator scrape sees nonzero frame and shard counters on
-//!   every worker it drove.
+//!   every worker it drove;
+//! * anneal counters land per engine tag in the registry of whoever
+//!   solved the shard: the worker, or the coordinator's local
+//!   fallback.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -248,6 +251,76 @@ fn stats_verb_round_trips_a_live_workers_registry() {
     for handle in handles {
         handle.stop();
     }
+}
+
+/// Sums a shard's returned iteration counts: what the per-engine
+/// `core.anneal.<tag>.iterations` counter must read after it.
+fn total_iterations(solutions: &[WireSolution]) -> u64 {
+    solutions.iter().map(|s| s.iterations).sum()
+}
+
+#[test]
+fn stats_report_anneal_counters_per_engine() {
+    let problem = gate_problem();
+    let (handles, addrs) = spawn_workers(1);
+    let mut client = WorkerClient::connect(addrs[0].as_str()).expect("connect");
+
+    let mut shards = Vec::new();
+    for (engine, seeds) in [
+        (EngineKind::HyCim, vec![1, 2, 3]),
+        (EngineKind::Bank, vec![4, 5]),
+    ] {
+        let mut spec = base_spec(&problem, engine, 30, 6);
+        spec.seeds = seeds;
+        let job = client.submit(&spec).expect("submit");
+        let solutions = client.wait_fetch(job).expect("fetch");
+        assert_eq!(solutions.len(), spec.seeds.len());
+        shards.push((engine, solutions));
+    }
+
+    let stats = client.stats().expect("stats");
+    for (engine, solutions) in &shards {
+        let tag = engine.tag();
+        assert_eq!(
+            stats.counter(&format!("core.anneal.{tag}.solves")),
+            Some(solutions.len() as u64),
+            "{stats:?}"
+        );
+        assert_eq!(
+            stats.counter(&format!("core.anneal.{tag}.iterations")),
+            Some(total_iterations(solutions)),
+            "{tag}"
+        );
+    }
+    // No engine ran under any other label.
+    assert_eq!(stats.counter("core.anneal.software.solves"), None);
+
+    assert_drains(&handles[0]);
+    for handle in handles {
+        handle.stop();
+    }
+}
+
+#[test]
+fn local_fallback_records_anneal_counters_in_the_coordinator() {
+    let problem = gate_problem();
+    let spec = base_spec(&problem, EngineKind::Bank, 30, 6);
+    let (total, jobs) = shard_replica_column(&spec, 3, 7, 0, 1);
+
+    let empty_fleet = Coordinator::new(Vec::new());
+    let merged = empty_fleet.run(total, &jobs).expect("solves locally");
+    assert_eq!(
+        merged,
+        local_reference(&problem, EngineKind::Bank, 30, 6, 3, 7)
+    );
+
+    let coord = empty_fleet.obs().snapshot();
+    assert_eq!(coord.counter("coord.shards_local"), Some(1));
+    assert_eq!(coord.counter("core.anneal.bank.solves"), Some(3));
+    assert_eq!(
+        coord.counter("core.anneal.bank.iterations"),
+        Some(total_iterations(&merged))
+    );
 }
 
 #[test]

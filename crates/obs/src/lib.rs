@@ -28,15 +28,10 @@
 //!
 //! Instrumentation rule for the solver tiers: recording **consumes no
 //! RNG draws and never branches inside an annealing loop** — engines
-//! flush whole-solve counts from their traces, which is what keeps
-//! every bit-identity guarantee intact with metrics enabled (pinned
-//! by `hycim-core`'s determinism law test).
-//!
-//! A process-global registry slot ([`install`] / [`installed`] /
-//! [`uninstall`]) lets the engine tier publish counters without
-//! threading a handle through every constructor; the cost when
-//! nothing is installed is one `RwLock` read per *solve*, not per
-//! iteration.
+//! publish nothing, and the batch runner that holds the registry
+//! records whole-solve totals from each solution's trace after the
+//! join, which is what keeps every bit-identity guarantee intact with
+//! metrics enabled (pinned by `hycim-core`'s determinism law test).
 //!
 //! # Example
 //!
@@ -65,5 +60,5 @@ mod trace;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS, HISTOGRAM_SLOTS,
 };
-pub use registry::{install, installed, uninstall, ObsRegistry, Snapshot};
+pub use registry::{ObsRegistry, Snapshot};
 pub use trace::{Event, EventTracer, DEFAULT_TRACE_CAPACITY};

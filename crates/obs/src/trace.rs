@@ -89,14 +89,6 @@ pub enum Event {
         /// One past the last replica index.
         end: u64,
     },
-    /// An annealing solve finished a phase.
-    AnnealPhase {
-        /// Engine or phase label (static on every call site, so
-        /// tracing allocates nothing per solve beyond the event).
-        label: &'static str,
-        /// Iterations spent in the phase.
-        iterations: u64,
-    },
 }
 
 impl fmt::Display for Event {
@@ -117,9 +109,6 @@ impl fmt::Display for Event {
             Event::WorkerReadmitted { worker } => write!(f, "worker {worker} readmitted"),
             Event::ShardLocalSolve { start, end } => {
                 write!(f, "shard [{start}, {end}) solved locally")
-            }
-            Event::AnnealPhase { label, iterations } => {
-                write!(f, "anneal phase {label} ({iterations} iterations)")
             }
         }
     }
