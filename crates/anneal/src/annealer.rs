@@ -46,12 +46,11 @@ pub(crate) const DRAW_DOMINATED: f64 = 37.5;
 /// The shared Metropolis acceptance test: accept downhill moves
 /// unconditionally, uphill moves with probability `exp(−Δ/T)` — drawn
 /// against one uniform sample consumed *only* for uphill moves at
-/// positive temperature. The production loops in this crate (the
-/// [`Annealer`] and scalar parallel tempering) funnel through this
-/// function; the sweep-synchronous loops share
-/// [`metropolis_accept_sweep`] instead. Within each pair the accept
-/// decisions — and the RNG stream consumption — stay comparable
-/// move-for-move.
+/// positive temperature. The production loop in this crate, the
+/// [`Annealer`], funnels through this function; the sweep-synchronous
+/// loops (packed lanes and their scalar reference) share
+/// [`metropolis_accept_sweep`] instead, so their accept decisions —
+/// and the RNG stream consumption — stay comparable move-for-move.
 ///
 /// The result is *exactly* `u < exp(−Δ/T)` for the drawn `u`: the
 /// `EXP_DOMINATED` shortcut only skips `exp` where the comparison is

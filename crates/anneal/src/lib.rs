@@ -23,10 +23,9 @@
 //!   bitplanes ([`PackedSoftwareState`]): one CSR sweep advances all
 //!   64 lanes, bit-identically to 64 scalar sweep-reference runs
 //!   ([`run_replica_scalar`]) on per-lane RNG streams.
-//! * [`tempering`] — parallel tempering / replica exchange: the
-//!   generic scalar [`tempering::run_tempering`] plus the packed-lane
-//!   [`tempering::run_packed_tempering`] (temperature ladder across
-//!   the 64 lanes, deterministic even/odd swap sweeps).
+//! * [`tempering`] — parallel tempering / replica exchange over the
+//!   packed lanes: [`tempering::run_packed_tempering`] (temperature
+//!   ladder across the 64 lanes, deterministic even/odd swap sweeps).
 //!
 //! Every accept decision in the crate goes through a shared
 //! Metropolis test: production loops use [`metropolis_accept`], and

@@ -1,176 +1,24 @@
 //! Parallel tempering (replica exchange) — an optional upgrade over
 //! plain SA for rugged QKP landscapes; listed as an extension in
-//! DESIGN.md. Several replicas anneal at fixed, geometrically spaced
+//! DESIGN.md. Replicas anneal at fixed, geometrically spaced
 //! temperatures and periodically propose state swaps between adjacent
 //! temperatures with the standard exchange acceptance
 //! `min(1, exp((1/T_a − 1/T_b)(E_a − E_b)))`.
 //!
-//! Two implementations share that exchange rule:
-//!
-//! * [`run_tempering`] — the generic scalar version over any
-//!   [`AnnealState`] (which, since the `DeltaEngine` rework, probes
-//!   maintained local fields in O(1) — no dense row scans), funneling
-//!   accepts through the shared
-//!   [`metropolis_accept`].
-//! * [`run_packed_tempering`] — the bit-parallel rebuild over all
-//!   [`LANES`] lanes of a [`PackedSoftwareState`]: a 64-rung
-//!   temperature ladder spread across the lanes, with deterministic
-//!   even/odd swap sweeps. A swap moves *temperatures*, not spins:
-//!   the rung↔lane permutation is updated in O(1) while each lane
-//!   keeps its own configuration, fields, and RNG stream — so
-//!   exchange decisions (drawn from one dedicated swap stream) never
-//!   perturb the per-lane streams, and the whole run is reproducible
-//!   from (lane seeds, swap seed) alone.
+//! [`run_packed_tempering`] runs it bit-parallel over all [`LANES`]
+//! lanes of a [`PackedSoftwareState`]: a 64-rung temperature ladder
+//! spread across the lanes, with deterministic even/odd swap sweeps.
+//! A swap moves *temperatures*, not spins: the rung↔lane permutation
+//! is updated in O(1) while each lane keeps its own configuration,
+//! fields, and RNG stream — so exchange decisions (drawn from one
+//! dedicated swap stream) never perturb the per-lane streams, and the
+//! whole run is reproducible from (lane seeds, swap seed) alone.
 
 use hycim_qubo::{Assignment, InequalityQubo, LANES};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::annealer::metropolis_accept;
 use crate::packed::PackedSoftwareState;
-use crate::{AnnealState, FlipOutcome};
-
-/// Configuration of a parallel-tempering run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TemperingConfig {
-    /// Number of replicas (temperature rungs).
-    pub replicas: usize,
-    /// Lowest (coldest) temperature.
-    pub t_min: f64,
-    /// Highest (hottest) temperature.
-    pub t_max: f64,
-    /// Metropolis steps between exchange attempts.
-    pub steps_per_exchange: usize,
-    /// Total exchange rounds.
-    pub rounds: usize,
-}
-
-impl TemperingConfig {
-    /// A reasonable default ladder for profit-scale ~100 problems.
-    pub fn standard() -> Self {
-        Self {
-            replicas: 8,
-            t_min: 0.5,
-            t_max: 100.0,
-            steps_per_exchange: 200,
-            rounds: 50,
-        }
-    }
-
-    /// Geometrically spaced temperature ladder, coldest first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is degenerate (fewer than 2
-    /// replicas, non-positive temperatures, or `t_min >= t_max`).
-    pub fn ladder(&self) -> Vec<f64> {
-        assert!(self.replicas >= 2, "need at least two replicas");
-        assert!(
-            self.t_min > 0.0 && self.t_max > self.t_min,
-            "need 0 < t_min < t_max"
-        );
-        let ratio = (self.t_max / self.t_min).powf(1.0 / (self.replicas - 1) as f64);
-        (0..self.replicas)
-            .map(|k| self.t_min * ratio.powi(k as i32))
-            .collect()
-    }
-}
-
-impl Default for TemperingConfig {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
-
-/// Result of a tempering run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TemperingResult {
-    /// Best energy seen across all replicas.
-    pub best_energy: f64,
-    /// Configuration achieving it.
-    pub best_assignment: hycim_qubo::Assignment,
-    /// Accepted replica exchanges.
-    pub exchanges_accepted: usize,
-    /// Attempted replica exchanges.
-    pub exchanges_attempted: usize,
-}
-
-impl TemperingResult {
-    /// Exchange acceptance ratio.
-    pub fn exchange_rate(&self) -> f64 {
-        if self.exchanges_attempted == 0 {
-            return 0.0;
-        }
-        self.exchanges_accepted as f64 / self.exchanges_attempted as f64
-    }
-}
-
-/// Runs parallel tempering over states created by `make_state` (one
-/// per replica; all must describe the same problem). Deterministic in
-/// `rng`.
-///
-/// Replica *states* are exchanged by swapping the state objects
-/// between temperature rungs, which is exact for any [`AnnealState`]
-/// implementation.
-///
-/// # Panics
-///
-/// Panics on a degenerate configuration (see
-/// [`TemperingConfig::ladder`]).
-pub fn run_tempering<T, F>(
-    config: &TemperingConfig,
-    mut make_state: F,
-    rng: &mut StdRng,
-) -> TemperingResult
-where
-    T: AnnealState,
-    F: FnMut(usize) -> T,
-{
-    let ladder = config.ladder();
-    let mut states: Vec<T> = (0..config.replicas).map(&mut make_state).collect();
-    let mut best_energy = f64::INFINITY;
-    let mut best_assignment = states[0].assignment().clone();
-    let mut accepted = 0;
-    let mut attempted = 0;
-
-    for _round in 0..config.rounds {
-        // Metropolis sweeps at each rung.
-        for (state, &t) in states.iter_mut().zip(&ladder) {
-            let n = state.dim();
-            for _ in 0..config.steps_per_exchange {
-                let i = rng.random_range(0..n);
-                if let FlipOutcome::Feasible { delta } = state.probe_flip(i, rng) {
-                    if metropolis_accept(delta, t, rng) {
-                        state.commit_flip(i, delta);
-                        if state.energy() < best_energy && state.verify_best(rng) {
-                            best_energy = state.energy();
-                            best_assignment = state.assignment().clone();
-                        }
-                    }
-                }
-            }
-        }
-        // Adjacent exchanges, alternating parity each round.
-        let start = _round % 2;
-        for k in (start..config.replicas - 1).step_by(2) {
-            attempted += 1;
-            let (ta, tb) = (ladder[k], ladder[k + 1]);
-            let (ea, eb) = (states[k].energy(), states[k + 1].energy());
-            let arg = (1.0 / ta - 1.0 / tb) * (ea - eb);
-            if arg >= 0.0 || rng.random::<f64>() < arg.exp() {
-                states.swap(k, k + 1);
-                accepted += 1;
-            }
-        }
-    }
-
-    TemperingResult {
-        best_energy,
-        best_assignment,
-        exchanges_accepted: accepted,
-        exchanges_attempted: attempted,
-    }
-}
 
 /// Configuration of a bit-parallel tempering run: a geometric
 /// [`LANES`]-rung ladder with `sweeps_per_exchange` packed sweeps
@@ -335,93 +183,9 @@ pub fn run_packed_tempering(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SoftwareState;
     use hycim_cop::generator::QkpGenerator;
     use hycim_cop::solvers;
-    use hycim_qubo::Assignment;
     use rand::SeedableRng;
-
-    #[test]
-    fn ladder_is_geometric_and_ascending() {
-        let config = TemperingConfig::standard();
-        let ladder = config.ladder();
-        assert_eq!(ladder.len(), 8);
-        assert!((ladder[0] - 0.5).abs() < 1e-12);
-        assert!((ladder[7] - 100.0).abs() < 1e-9);
-        for w in ladder.windows(3) {
-            let r1 = w[1] / w[0];
-            let r2 = w[2] / w[1];
-            assert!((r1 - r2).abs() < 1e-9, "ladder not geometric");
-        }
-    }
-
-    #[test]
-    fn tempering_solves_small_qkp() {
-        let inst = QkpGenerator::new(15, 0.75).generate(1);
-        let (_, opt) = solvers::exhaustive(&inst).unwrap();
-        let iq = inst.to_inequality_qubo().unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        let result = run_tempering(
-            &TemperingConfig::standard(),
-            |_k| SoftwareState::new(&iq, Assignment::zeros(15)),
-            &mut rng,
-        );
-        assert!(
-            -result.best_energy >= 0.95 * opt as f64,
-            "tempering reached {} of optimum {opt}",
-            -result.best_energy
-        );
-        assert!(iq.is_feasible(&result.best_assignment));
-    }
-
-    #[test]
-    fn exchanges_happen() {
-        let inst = QkpGenerator::new(20, 0.5).generate(3);
-        let iq = inst.to_inequality_qubo().unwrap();
-        let mut rng = StdRng::seed_from_u64(4);
-        let result = run_tempering(
-            &TemperingConfig::standard(),
-            |_k| SoftwareState::new(&iq, Assignment::zeros(20)),
-            &mut rng,
-        );
-        assert!(result.exchanges_attempted > 0);
-        assert!(
-            result.exchange_rate() > 0.05,
-            "exchange rate {:.3} suspiciously low",
-            result.exchange_rate()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "two replicas")]
-    fn degenerate_ladder_panics() {
-        let config = TemperingConfig {
-            replicas: 1,
-            ..TemperingConfig::standard()
-        };
-        let _ = config.ladder();
-    }
-
-    #[test]
-    fn deterministic_in_seed() {
-        let inst = QkpGenerator::new(10, 0.5).generate(5);
-        let iq = inst.to_inequality_qubo().unwrap();
-        let run = |seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            run_tempering(
-                &TemperingConfig {
-                    replicas: 4,
-                    rounds: 10,
-                    steps_per_exchange: 50,
-                    ..TemperingConfig::standard()
-                },
-                |_| SoftwareState::new(&iq, Assignment::zeros(10)),
-                &mut rng,
-            )
-            .best_energy
-        };
-        assert_eq!(run(7), run(7));
-    }
 
     fn packed_setup(n: usize, seed: u64) -> (InequalityQubo, Vec<Assignment>, Vec<StdRng>) {
         use hycim_cop::CopProblem;

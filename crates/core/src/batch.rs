@@ -299,15 +299,24 @@ impl BatchRunner {
         let slots: Vec<Mutex<&mut Option<R>>> = results.iter_mut().map(Mutex::new).collect();
         let (next_ref, slots_ref, job_ref) = (&next, &slots, &job);
         std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(n) {
-                scope.spawn(move || loop {
-                    let idx = next_ref.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    let r = job_ref(idx);
-                    **slots_ref[idx].lock().expect("slot lock") = Some(r);
-                });
+            let handles: Vec<_> = (0..self.threads.min(n))
+                .map(|_| {
+                    scope.spawn(move || loop {
+                        let idx = next_ref.fetch_add(1, Ordering::Relaxed);
+                        if idx >= n {
+                            break;
+                        }
+                        let r = job_ref(idx);
+                        **slots_ref[idx].lock().expect("slot lock") = Some(r);
+                    })
+                })
+                .collect();
+            // Re-raise a job's own panic payload, so a caller that
+            // catches it (the job service) sees the solve's message.
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
             }
         });
         drop(slots);

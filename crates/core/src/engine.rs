@@ -5,6 +5,8 @@
 //!
 //! * [`HyCimEngine`] — the paper's pipeline (Fig. 3): inequality-QUBO
 //!   encoding, FeFET inequality filter, FeFET CiM crossbar, SA logic.
+//!   It is the one-filter case of [`BankEngine`], which gates a
+//!   multi-constraint COP with one filter per constraint.
 //! * [`DquboEngine`] — the D-QUBO baseline (Fig. 1(b)): penalty
 //!   auxiliaries on one large crossbar, no filter.
 //! * [`SoftwareEngine`] — noise-free software evaluation of the same
@@ -39,8 +41,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::{
-    run_annealing, BankHardwareState, DquboConfig, DquboHardwareState, HyCimConfig,
-    HyCimHardwareState, HycimError, Solution,
+    run_annealing, BankHardwareState, DquboConfig, DquboHardwareState, HyCimConfig, HycimError,
+    Solution,
 };
 
 /// A solver backend over a [`CopProblem`]: construction validates the
@@ -106,15 +108,14 @@ impl<P: CopProblem, E: Engine<P> + ?Sized> Engine<P> for Box<E> {
 /// The HyCiM engine: inequality-QUBO transformation + FeFET inequality
 /// filter + FeFET CiM crossbar + SA logic (paper Fig. 3), generic over
 /// the problem being encoded.
+///
+/// It is the one-filter [`BankEngine`]: the same chip fabrication and
+/// solve body over `MultiInequalityQubo::from(to_inequality_qubo())`,
+/// so multi-constraint COPs (bin packing) run through their
+/// aggregate-capacity relaxation. Only the encoding and the `"hycim"`
+/// tag differ.
 #[derive(Debug, Clone)]
-pub struct HyCimEngine<P: CopProblem> {
-    problem: P,
-    encoded: InequalityQubo,
-    config: HyCimConfig,
-    /// Seed used to fabricate hardware instances (device variability
-    /// is sampled per-engine, like a real chip).
-    hardware_seed: u64,
-}
+pub struct HyCimEngine<P: CopProblem>(BankEngine<P>);
 
 /// The paper's solver: the HyCiM engine specialized to the quadratic
 /// knapsack problem it evaluates on.
@@ -130,33 +131,19 @@ impl<P: CopProblem> HyCimEngine<P> {
     /// mapped onto the hardware (e.g. constraint weights exceeding the
     /// filter's 64-unit columns).
     pub fn new(problem: &P, config: &HyCimConfig, hardware_seed: u64) -> Result<Self, HycimError> {
-        let encoded = problem.to_inequality_qubo()?;
-        // Validate hardware mapping eagerly so configuration errors
-        // surface at build time, not first solve.
-        let mut rng = StdRng::seed_from_u64(hardware_seed);
-        let _ = HyCimHardwareState::build(
-            &encoded,
-            &config.filter,
-            &config.crossbar,
-            Assignment::zeros(encoded.dim()),
-            &mut rng,
-        )?;
-        Ok(Self {
-            problem: problem.clone(),
-            encoded,
-            config: config.clone(),
-            hardware_seed,
-        })
+        let encoded = problem.to_inequality_qubo()?.into();
+        BankEngine::with_encoding(problem, encoded, config, hardware_seed).map(Self)
     }
 
-    /// The problem in inequality-QUBO form.
-    pub fn encoded(&self) -> &InequalityQubo {
-        &self.encoded
+    /// The problem in inequality-QUBO form, as the one-constraint
+    /// multi-inequality form the filter bank programs.
+    pub fn encoded(&self) -> &MultiInequalityQubo {
+        self.0.encoded()
     }
 
     /// The instance being solved.
     pub fn instance(&self) -> &P {
-        &self.problem
+        self.0.instance()
     }
 
     /// Runs one annealing from an explicit initial configuration
@@ -169,25 +156,13 @@ impl<P: CopProblem> HyCimEngine<P> {
     /// Panics if `initial` violates the constraint or has the wrong
     /// length.
     pub fn solve_from(&self, initial: &Assignment, seed: u64) -> Solution<P> {
-        let mut hw_rng = StdRng::seed_from_u64(self.hardware_seed);
-        let mut state = HyCimHardwareState::build(
-            &self.encoded,
-            &self.config.filter,
-            &self.config.crossbar,
-            initial.clone(),
-            &mut hw_rng,
-        )
-        .expect("mapping validated at construction");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let trace = run_annealing(&mut state, &self.config.anneal_settings(), &mut rng);
-        let assignment = trace.best_assignment().clone();
-        Solution::score(&self.problem, assignment, trace)
+        self.0.solve_from(initial, seed)
     }
 }
 
 impl<P: CopProblem> Engine<P> for HyCimEngine<P> {
     fn problem(&self) -> &P {
-        &self.problem
+        self.0.problem()
     }
 
     fn backend(&self) -> &'static str {
@@ -195,9 +170,7 @@ impl<P: CopProblem> Engine<P> for HyCimEngine<P> {
     }
 
     fn solve(&self, seed: u64) -> Solution<P> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let initial = self.problem.initial(&mut rng);
-        self.solve_from(&initial, seed)
+        self.0.solve(seed)
     }
 }
 
@@ -214,7 +187,7 @@ impl<P: CopProblem> Engine<P> for HyCimEngine<P> {
 /// filters admit it, so bin packing is bin-exact in hardware and
 /// general multi-inequality COPs (the multi-dimensional knapsack)
 /// run natively. Single-constraint problems work too — their bank has
-/// one filter and behaves like the single-filter pipeline.
+/// one filter and is the single-filter pipeline, bit for bit.
 ///
 /// Determinism: `hardware_seed` fabricates the bank's filters in
 /// constraint order from one RNG stream (then the crossbar), so the
@@ -244,8 +217,18 @@ impl<P: CopProblem> BankEngine<P> {
     /// constraint weights exceeding the filter's 64-unit columns).
     pub fn new(problem: &P, config: &HyCimConfig, hardware_seed: u64) -> Result<Self, HycimError> {
         let encoded = problem.to_multi_inequality_qubo()?;
-        // Validate hardware mapping eagerly so configuration errors
-        // surface at build time, not first solve.
+        Self::with_encoding(problem, encoded, config, hardware_seed)
+    }
+
+    /// Builds the engine over an already encoded form, validating the
+    /// hardware mapping eagerly so configuration errors surface at
+    /// build time, not first solve.
+    fn with_encoding(
+        problem: &P,
+        encoded: MultiInequalityQubo,
+        config: &HyCimConfig,
+        hardware_seed: u64,
+    ) -> Result<Self, HycimError> {
         let mut rng = StdRng::seed_from_u64(hardware_seed);
         let _ = BankHardwareState::build(
             &encoded,

@@ -11,7 +11,7 @@
 
 use hycim_anneal::{AnnealState, FlipOutcome};
 use hycim_cim::crossbar::{Crossbar, CrossbarConfig};
-use hycim_cim::filter::{FilterBank, FilterConfig, InequalityFilter};
+use hycim_cim::filter::{FilterBank, FilterConfig};
 use hycim_cim::CimError;
 use hycim_qubo::dqubo::DquboForm;
 use hycim_qubo::quant::QuantizedMatrix;
@@ -19,217 +19,38 @@ use hycim_qubo::{Assignment, DeltaEngine, InequalityQubo, MultiInequalityQubo, Q
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// The HyCiM pipeline state: inequality filter + CiM crossbar + SA
-/// bookkeeping.
-#[derive(Debug, Clone)]
-pub struct HyCimHardwareState {
-    /// The matrix the crossbar actually stores (quantized).
-    matrix: QuboMatrix,
-    filter: InequalityFilter,
-    weights: Vec<u64>,
-    x: Assignment,
-    load: u64,
-    /// Energy as reported by the hardware (accumulated noisy deltas) —
-    /// what the SA logic sees.
-    energy: f64,
-    /// Per-readout energy noise sigma.
-    readout_sigma: f64,
-    /// Flip-delta backend over the stored matrix (local fields by
-    /// default).
-    deltas: DeltaEngine,
-}
-
-impl HyCimHardwareState {
-    /// Builds the hardware state for an inequality-QUBO problem:
-    /// programs the filter with the constraint and the crossbar with
-    /// the objective, then initializes at `initial` (must be feasible).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CimError`] from filter or crossbar construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` violates the constraint.
-    pub fn build(
-        problem: &InequalityQubo,
-        filter_config: &FilterConfig,
-        crossbar_config: &CrossbarConfig,
-        initial: Assignment,
-        rng: &mut StdRng,
-    ) -> Result<Self, CimError> {
-        assert!(
-            problem.is_feasible(&initial),
-            "initial configuration must be feasible"
-        );
-        let constraint = problem.constraint();
-        let filter = InequalityFilter::build(
-            constraint.weights(),
-            constraint.capacity(),
-            filter_config,
-            rng,
-        )?;
-        let crossbar = Crossbar::program(problem.objective(), crossbar_config, rng)?;
-        let matrix = crossbar.stored_matrix().clone();
-        // Typical readout activates about half the programmed cells.
-        let typical_active = crossbar.mapping().programmed_cells() / 2;
-        let readout_sigma = crossbar.readout_sigma(typical_active);
-        let load = constraint.load(&initial);
-        let energy = matrix.energy(&initial);
-        let deltas = DeltaEngine::local(&matrix, &initial);
-        Ok(Self {
-            matrix,
-            filter,
-            weights: constraint.weights().to_vec(),
-            x: initial,
-            load,
-            energy,
-            readout_sigma,
-            deltas,
-        })
-    }
-
-    /// Switches to dense O(n) row-scan deltas over the stored matrix
-    /// (benchmark/equivalence use only — the default local-field
-    /// backend reports the same deltas in O(1)).
-    pub fn with_dense_deltas(mut self) -> Self {
-        self.deltas = DeltaEngine::dense();
-        self
-    }
-
-    /// Current constraint load.
-    pub fn load(&self) -> u64 {
-        self.load
-    }
-
-    /// The filter instance in use.
-    pub fn filter(&self) -> &InequalityFilter {
-        &self.filter
-    }
-
-    /// The stored (quantized) objective matrix.
-    pub fn stored_matrix(&self) -> &QuboMatrix {
-        &self.matrix
-    }
-
-    /// Per-readout energy noise sigma.
-    pub fn readout_sigma(&self) -> f64 {
-        self.readout_sigma
-    }
-
-    fn new_load(&self, i: usize) -> u64 {
-        if self.x.get(i) {
-            self.load - self.weights[i]
-        } else {
-            self.load + self.weights[i]
-        }
-    }
-}
-
-impl AnnealState for HyCimHardwareState {
-    fn dim(&self) -> usize {
-        self.matrix.dim()
-    }
-
-    fn assignment(&self) -> &Assignment {
-        &self.x
-    }
-
-    fn energy(&self) -> f64 {
-        self.energy
-    }
-
-    fn probe_flip(&mut self, i: usize, rng: &mut StdRng) -> FlipOutcome {
-        let new_load = self.new_load(i);
-        // The inequality filter evaluates the proposed configuration
-        // (fast path: analog matchline + comparator noise included).
-        let decision = self.filter.classify_load(new_load, rng);
-        if !decision.is_feasible() {
-            return FlipOutcome::Infeasible;
-        }
-        // Feasible: the crossbar computes the QUBO energy; modeled as
-        // the stored matrix's exact delta plus readout noise.
-        let delta =
-            self.deltas.flip_delta(&self.matrix, &self.x, i) + gaussian(rng) * self.readout_sigma;
-        FlipOutcome::Feasible { delta }
-    }
-
-    fn commit_flip(&mut self, i: usize, delta: f64) {
-        if self.x.flip(i) {
-            self.load += self.weights[i];
-        } else {
-            self.load -= self.weights[i];
-        }
-        self.deltas.commit_flip(&self.x, i);
-        self.energy += delta;
-    }
-
-    fn probe_pair(&mut self, i: usize, j: usize, rng: &mut StdRng) -> FlipOutcome {
-        assert_ne!(i, j, "pair flip needs two distinct bits");
-        let signed = |on: bool, w: u64| if on { -(w as i64) } else { w as i64 };
-        let new_load = self.load as i64
-            + signed(self.x.get(i), self.weights[i])
-            + signed(self.x.get(j), self.weights[j]);
-        let decision = self.filter.classify_load(new_load.max(0) as u64, rng);
-        if !decision.is_feasible() {
-            return FlipOutcome::Infeasible;
-        }
-        let delta = self.deltas.pair_delta(&self.matrix, &self.x, i, j)
-            + gaussian(rng) * self.readout_sigma;
-        FlipOutcome::Feasible { delta }
-    }
-
-    fn commit_pair(&mut self, i: usize, j: usize, delta: f64) {
-        for bit in [i, j] {
-            if self.x.flip(bit) {
-                self.load += self.weights[bit];
-            } else {
-                self.load -= self.weights[bit];
-            }
-        }
-        self.deltas.commit_pair(&self.x, i, j);
-        self.energy += delta;
-    }
-
-    fn verify_best(&mut self, rng: &mut StdRng) -> bool {
-        // Paper Fig. 6(b): before the accepted configuration replaces
-        // the reserved best x_o it passes the inequality evaluation
-        // again. Two extra filter reads make a rare noisy
-        // false-feasible admission vanishingly unlikely to persist.
-        (0..2).all(|_| self.filter.classify_load(self.load, rng).is_feasible())
-    }
-}
-
-/// The multi-constraint HyCiM pipeline state: a [`FilterBank`] (one
-/// inequality filter per constraint) + CiM crossbar + SA bookkeeping.
+/// The HyCiM pipeline state: a [`FilterBank`] (one inequality filter
+/// per constraint) + CiM crossbar + SA bookkeeping (paper Fig. 3).
 ///
-/// The single-filter [`HyCimHardwareState`] can only gate one
-/// inequality, which forces multi-constraint COPs (bin packing, the
-/// multi-dimensional knapsack) onto aggregate-capacity relaxations.
-/// This state programs the *exact* per-constraint form: every
+/// The paper's single inequality filter is the `k = 1` bank. With
+/// more constraints the bank programs the *exact* per-constraint form
+/// of multi-constraint COPs (bin packing, the multi-dimensional
+/// knapsack) instead of an aggregate-capacity relaxation: every
 /// proposed flip is classified by all `k` filters concurrently (in
 /// hardware the bank shares one 4-phase matchline read, so the
 /// latency is that of a single filter) and reaches the crossbar only
 /// when every filter admits it.
 ///
-/// Like the single-filter state, the SA hot loop tracks each
-/// constraint's load `Σw⁽ᵏ⁾ᵢxᵢ` incrementally — O(k) per flip — and
-/// uses the bank's fast path (matchline + comparator noise included)
-/// rather than re-simulating every cell.
+/// The SA hot loop tracks each constraint's load `Σw⁽ᵏ⁾ᵢxᵢ`
+/// incrementally — O(k) per flip — and uses the filters' fast path
+/// (matchline + comparator noise included) rather than re-simulating
+/// every cell.
 #[derive(Debug, Clone)]
 pub struct BankHardwareState {
     /// The matrix the crossbar actually stores (quantized).
     matrix: QuboMatrix,
     bank: FilterBank,
-    /// Per-constraint weight rows, in bank order.
-    weights: Vec<Vec<u64>>,
+    /// Constraint weights, item-major: `weights[i * k + c]` is item
+    /// `i`'s weight in constraint `c`, so a flip reads one contiguous
+    /// run of `k`.
+    weights: Vec<u64>,
     x: Assignment,
     /// Current per-constraint loads, index-aligned with the bank.
     loads: Vec<u64>,
-    /// Proposed-loads buffer reused across probes (no per-iteration
-    /// allocation in the hot loop).
-    proposed: Vec<u64>,
+    /// Energy as reported by the hardware (accumulated noisy deltas) —
+    /// what the SA logic sees.
     energy: f64,
+    /// Per-readout energy noise sigma.
     readout_sigma: f64,
     /// Flip-delta backend over the stored matrix (local fields by
     /// default).
@@ -270,15 +91,14 @@ impl BankHardwareState {
         let bank = FilterBank::build(problem.constraints(), filter_config, rng)?;
         let crossbar = Crossbar::program(problem.objective(), crossbar_config, rng)?;
         let matrix = crossbar.stored_matrix().clone();
+        // Typical readout activates about half the programmed cells.
         let typical_active = crossbar.mapping().programmed_cells() / 2;
         let readout_sigma = crossbar.readout_sigma(typical_active);
-        let weights: Vec<Vec<u64>> = problem
-            .constraints()
-            .iter()
-            .map(|c| c.weights().to_vec())
+        let constraints = problem.constraints();
+        let weights = (0..problem.dim())
+            .flat_map(|i| constraints.iter().map(move |c| c.weights()[i]))
             .collect();
         let loads = problem.loads(&initial);
-        let proposed = vec![0; loads.len()];
         let energy = matrix.energy(&initial);
         let deltas = DeltaEngine::local(&matrix, &initial);
         Ok(Self {
@@ -287,7 +107,6 @@ impl BankHardwareState {
             weights,
             x: initial,
             loads,
-            proposed,
             energy,
             readout_sigma,
             deltas,
@@ -295,7 +114,8 @@ impl BankHardwareState {
     }
 
     /// Switches to dense O(n) row-scan deltas over the stored matrix
-    /// (benchmark/equivalence use only).
+    /// (benchmark/equivalence use only — the default local-field
+    /// backend reports the same deltas in O(1)).
     pub fn with_dense_deltas(mut self) -> Self {
         self.deltas = DeltaEngine::dense();
         self
@@ -321,29 +141,38 @@ impl BankHardwareState {
         self.readout_sigma
     }
 
-    /// Fills `self.proposed` with the loads after flipping `bits`
-    /// (distinct indices).
-    fn propose(&mut self, bits: &[usize]) {
-        for (k, row) in self.weights.iter().enumerate() {
-            let mut load = self.loads[k] as i64;
+    /// Asks the whole bank whether the configuration after flipping
+    /// `bits` (distinct indices; none for the current configuration)
+    /// satisfies every constraint. Every filter reads, in bank order,
+    /// even after a veto, so the solve stream draws exactly what
+    /// [`FilterBank::classify_loads`] draws — without collecting the
+    /// per-filter decisions.
+    fn admit(&self, bits: &[usize], rng: &mut StdRng) -> bool {
+        let k = self.loads.len();
+        let mut feasible = true;
+        for (c, (filter, &load)) in self.bank.filters().iter().zip(&self.loads).enumerate() {
+            let mut load = load as i64;
             for &i in bits {
-                let w = row[i] as i64;
+                let w = self.weights[i * k + c] as i64;
                 load += if self.x.get(i) { -w } else { w };
             }
             debug_assert!(load >= 0, "loads are sums of selected non-negative weights");
-            self.proposed[k] = load.max(0) as u64;
+            feasible &= filter.classify_load(load.max(0) as u64, rng).is_feasible();
         }
+        feasible
     }
 
     /// Applies a committed flip of `bits` to the load caches.
     fn apply(&mut self, bits: &[usize]) {
+        let k = self.loads.len();
         for &i in bits {
             let selected = self.x.flip(i);
-            for (k, row) in self.weights.iter().enumerate() {
+            let row = &self.weights[i * k..(i + 1) * k];
+            for (load, &w) in self.loads.iter_mut().zip(row) {
                 if selected {
-                    self.loads[k] += row[i];
+                    *load += w;
                 } else {
-                    self.loads[k] -= row[i];
+                    *load -= w;
                 }
             }
         }
@@ -364,13 +193,13 @@ impl AnnealState for BankHardwareState {
     }
 
     fn probe_flip(&mut self, i: usize, rng: &mut StdRng) -> FlipOutcome {
-        self.propose(&[i]);
         // All k filters evaluate the proposal concurrently (fast
         // path: analog matchline + comparator noise per filter).
-        let decision = self.bank.classify_loads(&self.proposed, rng);
-        if !decision.is_feasible() {
+        if !self.admit(&[i], rng) {
             return FlipOutcome::Infeasible;
         }
+        // Feasible: the crossbar computes the QUBO energy; modeled as
+        // the stored matrix's exact delta plus readout noise.
         let delta =
             self.deltas.flip_delta(&self.matrix, &self.x, i) + gaussian(rng) * self.readout_sigma;
         FlipOutcome::Feasible { delta }
@@ -384,9 +213,7 @@ impl AnnealState for BankHardwareState {
 
     fn probe_pair(&mut self, i: usize, j: usize, rng: &mut StdRng) -> FlipOutcome {
         assert_ne!(i, j, "pair flip needs two distinct bits");
-        self.propose(&[i, j]);
-        let decision = self.bank.classify_loads(&self.proposed, rng);
-        if !decision.is_feasible() {
+        if !self.admit(&[i, j], rng) {
             return FlipOutcome::Infeasible;
         }
         let delta = self.deltas.pair_delta(&self.matrix, &self.x, i, j)
@@ -401,10 +228,51 @@ impl AnnealState for BankHardwareState {
     }
 
     fn verify_best(&mut self, rng: &mut StdRng) -> bool {
-        // Same Fig. 6(b) protocol as the single filter: the candidate
-        // best re-passes the whole bank twice, so a rare noisy
-        // false-feasible admission on any filter cannot persist.
-        (0..2).all(|_| self.bank.classify_loads(&self.loads, rng).is_feasible())
+        // Paper Fig. 6(b): before the accepted configuration replaces
+        // the reserved best x_o it passes the inequality evaluation
+        // again. Two extra reads of the whole bank make a rare noisy
+        // false-feasible admission on any filter vanishingly unlikely
+        // to persist.
+        (0..2).all(|_| self.admit(&[], rng))
+    }
+}
+
+/// The name of the single-filter pipeline state from before it became
+/// the `k = 1` [`BankHardwareState`]. The type has no values; it keeps
+/// `HyCimHardwareState::build` compiling for the end-to-end
+/// benchmark's hand-assembled hycim solve, which builds its chip
+/// through this name.
+#[derive(Debug)]
+pub enum HyCimHardwareState {}
+
+impl HyCimHardwareState {
+    /// Builds the one-filter bank for an inequality-QUBO problem —
+    /// `BankHardwareState::build` over
+    /// `MultiInequalityQubo::from(problem.clone())`, which fabricates
+    /// the same chip from `rng` and draws the same solve stream as the
+    /// single-filter pipeline did.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CimError`] from filter or crossbar construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `initial` violates the constraint.
+    pub fn build(
+        problem: &InequalityQubo,
+        filter_config: &FilterConfig,
+        crossbar_config: &CrossbarConfig,
+        initial: Assignment,
+        rng: &mut StdRng,
+    ) -> Result<BankHardwareState, CimError> {
+        BankHardwareState::build(
+            &MultiInequalityQubo::from(problem.clone()),
+            filter_config,
+            crossbar_config,
+            initial,
+            rng,
+        )
     }
 }
 
@@ -806,7 +674,7 @@ mod tests {
         assert_eq!(trace_local, trace_dense);
         assert_eq!(local.assignment(), dense.assignment());
         assert_eq!(local.energy(), dense.energy());
-        assert_eq!(local.load(), dense.load());
+        assert_eq!(local.loads()[0], dense.loads()[0]);
     }
 
     /// Same bit-identity law on the filter-bank state (MKP, 3

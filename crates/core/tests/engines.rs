@@ -371,3 +371,73 @@ mod packed_bit_identity {
         check_lanes_match_scalar(&inst, 25, 7);
     }
 }
+
+/// Pins filter-pipeline solves to recorded bits: the assignment, the
+/// reported energy and the accept / filter-veto counts of one solve
+/// per problem class. HyCiM runs QKP, bin packing (aggregate-capacity
+/// encoding) and max-cut on its single filter; the bank runs one MKP
+/// instance on three filters. Any change to how a chip is fabricated
+/// or how a probe draws from the solve stream moves these numbers.
+mod pinned_solves {
+    use super::*;
+
+    fn fingerprint<P: CopProblem>(solution: &Solution<P>) -> (String, u64, usize, usize) {
+        (
+            solution.assignment.to_bit_string(),
+            solution.reported_energy.to_bits(),
+            solution.trace.accepted(),
+            solution.trace.rejected_infeasible(),
+        )
+    }
+
+    fn config() -> HyCimConfig {
+        HyCimConfig::default().with_sweeps(150)
+    }
+
+    fn hycim<P: CopProblem>(problem: &P) -> (String, u64, usize, usize) {
+        let engine = HyCimEngine::new(problem, &config(), 5).expect("maps onto HyCiM");
+        fingerprint(&engine.solve(9))
+    }
+
+    #[test]
+    fn hycim_solves_match_their_recorded_bits() {
+        use hycim_cop::generator::QkpGenerator;
+        assert_eq!(
+            hycim(&QkpGenerator::new(30, 0.5).generate(1)),
+            (
+                "111111100111111110110000011110".to_string(),
+                13887733548589798263,
+                64,
+                2877
+            )
+        );
+        assert_eq!(
+            hycim(&BinPacking::new(vec![4, 5, 3, 6, 2, 7], 10, 3).unwrap()),
+            (
+                "010001001010100100".to_string(),
+                13877389564624127113,
+                62,
+                705
+            )
+        );
+        assert_eq!(
+            hycim(&MaxCut::random(16, 0.5, 3)),
+            ("0101011001001101".to_string(), 13856689634292827924, 200, 0)
+        );
+    }
+
+    #[test]
+    fn bank_solve_matches_its_recorded_bits() {
+        let mkp = MkpGenerator::new(20, 3).generate(4);
+        let engine = BankEngine::new(&mkp, &config(), 5).expect("maps onto the bank");
+        assert_eq!(
+            fingerprint(&engine.solve(9)),
+            (
+                "00111101000111110001".to_string(),
+                13873499743011417065,
+                50,
+                1852
+            )
+        );
+    }
+}

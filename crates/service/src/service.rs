@@ -10,7 +10,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use hycim_cop::CopProblem;
-use hycim_core::{default_threads, replica_seed, Engine};
+use hycim_core::{default_threads, replica_seed, BatchRunner, Engine};
 use hycim_obs::{Counter, Event, Gauge, Histogram, ObsRegistry};
 
 use crate::{FetchError, JobId, JobResult, JobStatus, SubmitError};
@@ -252,8 +252,10 @@ impl JobService {
         Self { shared, workers }
     }
 
-    /// Submits one solve: the worker will run `engine.solve(seed)`,
-    /// so the result is bit-identical to that direct call. Returns
+    /// Submits one solve: the worker runs `engine.solve(seed)`
+    /// through a serial [`BatchRunner`] on the service's registry, so
+    /// the result is bit-identical to that direct call and the solve's
+    /// anneal counts land under `core.anneal.<backend>.*`. Returns
     /// immediately with the job handle.
     ///
     /// The engine is shared by `Arc` — submitting many seeds against
@@ -268,19 +270,7 @@ impl JobService {
         P: CopProblem + 'static,
         E: Engine<P> + 'static,
     {
-        let engine = Arc::clone(engine);
-        self.enqueue(move |id| {
-            Box::new(move || -> ErasedResult {
-                let backend = engine.backend();
-                let solution = engine.solve(seed);
-                Box::new(JobResult {
-                    id,
-                    backend,
-                    seeds: vec![seed],
-                    solutions: vec![solution],
-                })
-            })
-        })
+        self.submit_seeds(engine, vec![seed])
     }
 
     /// Submits a multi-start batch as **one** job: `replicas`
@@ -289,7 +279,8 @@ impl JobService {
     /// [`BatchRunner::run`](hycim_core::BatchRunner::run) derivation,
     /// so the fetched solutions are bit-identical to a `BatchRunner`
     /// run of the same `(engine, replicas, root_seed)` at any thread
-    /// count. Replicas run serially on one worker; submit several
+    /// count. Replicas run serially on one worker, through the same
+    /// [`BatchRunner`] path as [`submit`](Self::submit); submit several
     /// batches (or single solves) to spread load across workers.
     ///
     /// # Errors
@@ -311,17 +302,29 @@ impl JobService {
         E: Engine<P> + 'static,
     {
         assert!(replicas > 0, "need at least one replica");
+        let seeds = (0..replicas)
+            .map(|k| replica_seed(root_seed, 0, k as u64))
+            .collect();
+        self.submit_seeds(engine, seeds)
+    }
+
+    /// Queues one job solving `seeds` in order on a serial
+    /// [`BatchRunner`] that records into the service's registry.
+    fn submit_seeds<P, E>(&self, engine: &Arc<E>, seeds: Vec<u64>) -> Result<JobId, SubmitError>
+    where
+        P: CopProblem + 'static,
+        E: Engine<P> + 'static,
+    {
         let engine = Arc::clone(engine);
+        let obs = Arc::clone(&self.shared.metrics.obs);
         self.enqueue(move |id| {
             Box::new(move || -> ErasedResult {
-                let backend = engine.backend();
-                let seeds: Vec<u64> = (0..replicas)
-                    .map(|k| replica_seed(root_seed, 0, k as u64))
-                    .collect();
-                let solutions = seeds.iter().map(|&s| engine.solve(s)).collect();
+                let solutions = BatchRunner::serial()
+                    .with_obs(obs)
+                    .run_seeds(engine.as_ref(), &seeds);
                 Box::new(JobResult {
                     id,
-                    backend,
+                    backend: engine.backend(),
                     seeds,
                     solutions,
                 })

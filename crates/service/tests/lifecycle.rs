@@ -12,7 +12,7 @@ use hycim_cop::tsp::Tsp;
 use hycim_cop::QkpInstance;
 use hycim_core::{
     replica_seed, BankEngine, BatchRunner, DquboConfig, DquboEngine, Engine, HyCimConfig,
-    HyCimEngine, SoftwareEngine,
+    HyCimEngine, SoftwareEngine, Solution,
 };
 use hycim_service::{FetchError, JobService, JobStatus, ServiceConfig, SubmitError};
 
@@ -265,5 +265,70 @@ fn status_lifecycle_and_unique_ids() {
     }
     for job in jobs {
         assert!(service.wait_fetch::<MaxCut>(job).is_ok());
+    }
+}
+
+/// In-process jobs record anneal counters like every other solve
+/// path: one `submit` and one `submit_batch` count every replica
+/// under `core.anneal.<backend>.*`, and the fetched solutions stay
+/// bit-identical to direct `Engine::solve` calls.
+#[test]
+fn service_jobs_record_anneal_counters() {
+    let engine = qkp_engine(9);
+    let service = JobService::start(ServiceConfig::new().with_workers(2));
+    let single = service.submit(&engine, 4).expect("capacity");
+    let batch = service.submit_batch(&engine, 3, 21).expect("capacity");
+    let single = service
+        .wait_fetch::<QkpInstance>(single)
+        .expect("single job");
+    let batch = service.wait_fetch::<QkpInstance>(batch).expect("batch job");
+    let jobs = [&single, &batch];
+    let mut iterations = 0;
+    for (&seed, got) in jobs
+        .iter()
+        .flat_map(|job| job.seeds.iter().zip(&job.solutions))
+    {
+        let want = engine.solve(seed);
+        assert_eq!(got.assignment, want.assignment, "seed {seed}");
+        assert_eq!(
+            got.reported_energy.to_bits(),
+            want.reported_energy.to_bits()
+        );
+        assert_eq!(got.trace, want.trace, "seed {seed}");
+        iterations += got.trace.iterations() as u64;
+    }
+    let obs = service.obs();
+    assert_eq!(obs.counter("core.anneal.hycim.solves").get(), 4);
+    assert_eq!(
+        obs.counter("core.anneal.hycim.iterations").get(),
+        iterations
+    );
+}
+
+/// A solve that panics fails its job with the solve's own message,
+/// not a generic one from the thread that ran it.
+#[test]
+fn panicking_solve_fails_the_job_with_its_message() {
+    struct Exploding(MaxCut);
+    impl Engine<MaxCut> for Exploding {
+        fn problem(&self) -> &MaxCut {
+            &self.0
+        }
+        fn backend(&self) -> &'static str {
+            "exploding"
+        }
+        fn solve(&self, _seed: u64) -> Solution<MaxCut> {
+            panic!("solver blew up")
+        }
+    }
+    let engine = Arc::new(Exploding(MaxCut::random(4, 0.5, 1)));
+    let service = JobService::start(ServiceConfig::new().with_workers(1));
+    let job = service.submit(&engine, 3).expect("capacity");
+    match service.wait_fetch::<MaxCut>(job) {
+        Err(FetchError::Failed { message, .. }) => {
+            assert!(message.contains("solver blew up"), "{message}")
+        }
+        Err(other) => panic!("expected Failed, got {other:?}"),
+        Ok(_) => panic!("a panicking solve cannot succeed"),
     }
 }
