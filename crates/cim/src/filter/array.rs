@@ -4,6 +4,7 @@ use hycim_fefet::{MultiLevelSpec, StaircasePulse, VariationModel};
 use hycim_qubo::Assignment;
 use rand::Rng;
 
+use crate::filter::readout::MatchlineReadout;
 use crate::filter::FilterCell;
 use crate::{CimError, Fidelity, Matchline, MatchlineConfig};
 
@@ -39,15 +40,9 @@ pub struct FilterArray {
     weights: Vec<u64>,
     rows: usize,
     staircase: StaircasePulse,
-    ml_config: MatchlineConfig,
     fidelity: Fidelity,
-    variation: VariationModel,
-    /// Fraction of the nominal clamp current an ON cell actually
-    /// conducts: the 1FeFET1R series blend gives
-    /// `I = I_clamp · I_on / (I_on + I_clamp)`, ≈ 0.98 at the paper's
-    /// operating point. The fast path scales its unit drops by this so
-    /// both fidelities share the same mean ML.
-    effective_unit_fraction: f64,
+    /// The matchline and its fast-path read.
+    readout: MatchlineReadout,
 }
 
 /// Shared construction parameters for filter arrays (re-exported from
@@ -117,17 +112,13 @@ impl FilterArray {
             }
             cells.push(column);
         }
-        let i_on = params.spec.i_on();
-        let effective_unit_fraction = i_on / (i_on + params.ml_config.cell_current);
         Ok(Self {
             cells,
             weights: weights.to_vec(),
             rows: params.rows,
             staircase: StaircasePulse::for_spec(params.spec, params.phase_time_ns),
-            ml_config: params.ml_config.clone(),
             fidelity: params.fidelity,
-            variation: params.variation.clone(),
-            effective_unit_fraction,
+            readout: MatchlineReadout::new(params.ml_config, params.spec, params.variation),
         })
     }
 
@@ -179,7 +170,7 @@ impl FilterArray {
 
     fn evaluate_device<R: Rng + ?Sized>(&self, x: &Assignment, rng: &mut R) -> f64 {
         assert_eq!(x.len(), self.num_columns(), "input length mismatch");
-        let mut ml = Matchline::precharged(&self.ml_config);
+        let mut ml = Matchline::precharged(self.matchline_config());
         for (_, v) in self.staircase.iter() {
             let mut i_total = 0.0;
             for (col, column) in self.cells.iter().enumerate() {
@@ -206,26 +197,11 @@ impl FilterArray {
     /// Fast-path evaluation from a precomputed load (used by the SA
     /// loop, where the load is tracked incrementally in O(1)).
     pub fn evaluate_fast<R: Rng + ?Sized>(&self, load_units: u64, rng: &mut R) -> f64 {
-        let mut ml = Matchline::precharged(&self.ml_config);
-        // Aggregate drop at the effective (series-blended) cell current…
-        ml.discharge_units(load_units as f64 * self.effective_unit_fraction);
-        // …plus per-read noise: each of the `load` conducting
-        // cell-phases carries temporal current noise, so the summed
-        // charge noise scales with √load.
-        let sigma_rel = self.variation.current_sigma_rel() * Self::TEMPORAL_NOISE_FRACTION;
-        if sigma_rel > 0.0 && load_units > 0 {
-            let sigma_units = sigma_rel * (load_units as f64).sqrt();
-            let noise_units = gaussian(rng) * sigma_units;
-            if noise_units > 0.0 {
-                ml.discharge_units(noise_units);
-                return ml.voltage();
-            }
-            // Negative noise: less discharge → add voltage back
-            // (bounded by VDD).
-            let v = ml.voltage() - noise_units * ml.config().unit_drop();
-            return v.min(self.ml_config.vdd);
-        }
-        ml.voltage()
+        self.readout.read(load_units, rng)
+    }
+
+    pub(crate) fn readout(&self) -> &MatchlineReadout {
+        &self.readout
     }
 
     /// The staircase pulse used for evaluation.
@@ -235,7 +211,7 @@ impl FilterArray {
 
     /// The matchline configuration in use.
     pub fn matchline_config(&self) -> &MatchlineConfig {
-        &self.ml_config
+        self.readout.config()
     }
 
     /// Per-phase ML voltage trace of a device-accurate evaluation —
@@ -249,7 +225,7 @@ impl FilterArray {
     /// Panics if `x.len() != self.num_columns()`.
     pub fn waveform<R: Rng + ?Sized>(&self, x: &Assignment, rng: &mut R) -> Vec<f64> {
         assert_eq!(x.len(), self.num_columns(), "input length mismatch");
-        let mut ml = Matchline::precharged(&self.ml_config);
+        let mut ml = Matchline::precharged(self.matchline_config());
         let mut trace = vec![ml.voltage()];
         for (_, v) in self.staircase.iter() {
             let mut i_total = 0.0;
@@ -294,16 +270,6 @@ pub fn decompose_weight(w: u64, rows: usize, max_level: u8) -> Vec<u8> {
     }
     debug_assert_eq!(remaining, 0, "weight {w} does not fit {rows} rows");
     out
-}
-
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u1: f64 = rng.random::<f64>();
-        if u1 > f64::MIN_POSITIVE {
-            let u2: f64 = rng.random::<f64>();
-            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        }
-    }
 }
 
 #[cfg(test)]

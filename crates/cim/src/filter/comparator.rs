@@ -1,5 +1,6 @@
 use std::fmt;
 
+use hycim_fefet::gaussian;
 use rand::Rng;
 
 /// The 2-stage voltage comparator of the inequality filter (paper
@@ -104,16 +105,6 @@ impl fmt::Display for VoltageComparator {
             self.offset * 1e3,
             self.noise_sigma * 1e3
         )
-    }
-}
-
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u1: f64 = rng.random::<f64>();
-        if u1 > f64::MIN_POSITIVE {
-            let u2: f64 = rng.random::<f64>();
-            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        }
     }
 }
 

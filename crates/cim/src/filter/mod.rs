@@ -13,6 +13,7 @@ mod array;
 mod bank;
 mod cell;
 mod comparator;
+mod readout;
 
 use std::fmt;
 
@@ -24,6 +25,7 @@ pub use array::{decompose_weight, FilterArray};
 pub use bank::{BankDecision, FilterBank};
 pub use cell::FilterCell;
 pub use comparator::{ComparatorConfig, VoltageComparator};
+pub use readout::FilterReadout;
 
 use crate::{CimError, Fidelity, MatchlineConfig};
 
@@ -140,14 +142,8 @@ impl FilterDecision {
 pub struct InequalityFilter {
     working: FilterArray,
     replica: FilterArray,
-    comparator: VoltageComparator,
-    capacity: u64,
-    /// Built-in feasibility bias (V): the comparator latch is skewed by
-    /// half a weight unit so the exact-boundary case `Σwᵢxᵢ = C`
-    /// (which the paper's Fig. 5(f) counts as feasible, `9 ≤ 9`)
-    /// resolves feasible; the decision threshold then sits midway
-    /// between loads `C` and `C+1`.
-    decision_margin: f64,
+    /// Comparator, capacity and the fast-path matchline read.
+    readout: FilterReadout,
 }
 
 impl InequalityFilter {
@@ -185,19 +181,25 @@ impl InequalityFilter {
         let replica_weights = spread_capacity(capacity, n, config.max_item_weight());
         let replica = FilterArray::program(&replica_weights, config, rng)?;
         let comparator = VoltageComparator::sample(&config.comparator, rng);
-        let decision_margin = 0.5 * config.matchline.unit_drop();
+        // Both arrays are programmed from one config, so they share
+        // one fast-path read.
+        debug_assert_eq!(working.readout(), replica.readout());
+        let readout = FilterReadout::new(
+            working.readout().clone(),
+            comparator,
+            capacity,
+            0.5 * config.matchline.unit_drop(),
+        );
         Ok(Self {
             working,
             replica,
-            comparator,
-            capacity,
-            decision_margin,
+            readout,
         })
     }
 
     /// The encoded capacity `C`.
     pub fn capacity(&self) -> u64 {
-        self.capacity
+        self.readout.capacity()
     }
 
     /// The working array.
@@ -212,7 +214,13 @@ impl InequalityFilter {
 
     /// The comparator instance.
     pub fn comparator(&self) -> &VoltageComparator {
-        &self.comparator
+        self.readout.comparator()
+    }
+
+    /// What the fast path reads, without the cell arrays — all a
+    /// simulated chip keeps of this filter for annealing.
+    pub fn readout(&self) -> &FilterReadout {
+        &self.readout
     }
 
     /// Evaluates one input configuration: precharge, 4-phase staircase
@@ -226,9 +234,9 @@ impl InequalityFilter {
         let replica_ml = self
             .replica
             .evaluate(&Assignment::ones_vec(self.replica.num_columns()), rng);
-        let feasible = self
-            .comparator
-            .at_least(ml + self.decision_margin, replica_ml, rng);
+        let feasible =
+            self.comparator()
+                .at_least(ml + self.readout.decision_margin(), replica_ml, rng);
         FilterDecision {
             feasible,
             ml,
@@ -237,18 +245,10 @@ impl InequalityFilter {
     }
 
     /// Fast-path classification from a precomputed load (the SA loop
-    /// tracks `Σwᵢxᵢ` incrementally in O(1) per flip).
+    /// tracks `Σwᵢxᵢ` incrementally in O(1) per flip); the same
+    /// classification as [`FilterReadout::classify_load`].
     pub fn classify_load<R: Rng + ?Sized>(&self, load: u64, rng: &mut R) -> FilterDecision {
-        let ml = self.working.evaluate_fast(load, rng);
-        let replica_ml = self.replica.evaluate_fast(self.capacity, rng);
-        let feasible = self
-            .comparator
-            .at_least(ml + self.decision_margin, replica_ml, rng);
-        FilterDecision {
-            feasible,
-            ml,
-            replica_ml,
-        }
+        self.readout.classify_load(load, rng)
     }
 }
 
@@ -259,7 +259,7 @@ impl fmt::Display for InequalityFilter {
             "InequalityFilter({}×{} working + replica, C={})",
             self.working.num_rows(),
             self.working.num_columns(),
-            self.capacity
+            self.capacity()
         )
     }
 }
@@ -371,6 +371,42 @@ mod tests {
         let heavy = Assignment::ones_vec(100);
         assert!(filter.classify(&light, &mut rng).is_feasible());
         assert!(!filter.classify(&heavy, &mut rng).is_feasible());
+    }
+
+    #[test]
+    fn readout_reproduces_the_arrays_fast_path_bit_for_bit() {
+        // Noisy paper config: the compact readout (kept by a chip once
+        // the cells are dropped) must return the working/replica
+        // arrays' fast-path voltages and the comparator's decision
+        // exactly, and leave the stream where they leave it.
+        let config = FilterConfig::default();
+        let mut rng = StdRng::seed_from_u64(17);
+        let weights: Vec<u64> = (0..40).map(|i| (i * 7 % 64) + 1).collect();
+        let filter = InequalityFilter::build(&weights, 500, &config, &mut rng).unwrap();
+        let readout = filter.readout().clone();
+        let margin = 0.5 * config.matchline.unit_drop();
+        for (k, load) in (0..1200u64).step_by(7).enumerate() {
+            let mut by_hand = StdRng::seed_from_u64(k as u64);
+            let mut via_filter = by_hand.clone();
+            let mut via_readout = by_hand.clone();
+            let ml = filter.working_array().evaluate_fast(load, &mut by_hand);
+            let replica_ml = filter
+                .replica_array()
+                .evaluate_fast(filter.capacity(), &mut by_hand);
+            let feasible = filter
+                .comparator()
+                .at_least(ml + margin, replica_ml, &mut by_hand);
+            for decision in [
+                filter.classify_load(load, &mut via_filter),
+                readout.classify_load(load, &mut via_readout),
+            ] {
+                assert_eq!(decision.ml().to_bits(), ml.to_bits(), "load {load}");
+                assert_eq!(decision.replica_ml().to_bits(), replica_ml.to_bits());
+                assert_eq!(decision.is_feasible(), feasible, "load {load}");
+            }
+            assert_eq!(via_filter, by_hand, "load {load}: stream diverged");
+            assert_eq!(via_readout, by_hand, "load {load}: stream diverged");
+        }
     }
 
     #[test]

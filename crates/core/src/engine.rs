@@ -34,6 +34,8 @@
 //! # }
 //! ```
 
+use std::sync::Arc;
+
 use hycim_cop::{CopProblem, QkpInstance};
 use hycim_qubo::dqubo::DquboForm;
 use hycim_qubo::{Assignment, InequalityQubo, MultiInequalityQubo};
@@ -41,8 +43,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::{
-    run_annealing, BankHardwareState, DquboConfig, DquboHardwareState, HyCimConfig, HycimError,
-    Solution,
+    run_annealing, BankChip, BankHardwareState, DquboChip, DquboConfig, DquboHardwareState,
+    HyCimConfig, HycimError, Solution,
 };
 
 /// A solver backend over a [`CopProblem`]: construction validates the
@@ -190,9 +192,10 @@ impl<P: CopProblem> Engine<P> for HyCimEngine<P> {
 /// one filter and is the single-filter pipeline, bit for bit.
 ///
 /// Determinism: `hardware_seed` fabricates the bank's filters in
-/// constraint order from one RNG stream (then the crossbar), so the
-/// same seed builds the same "chip instance"; `solve(seed)` is then a
-/// pure function of the seed, which is what keeps
+/// constraint order from one RNG stream (then the crossbar), once, at
+/// construction; every solve starts on that one chip, shared by all
+/// threads. The hardware stream is spent by then, so `solve(seed)` is
+/// a pure function of the seed, which is what keeps
 /// [`BatchRunner`](crate::BatchRunner) grids and `hycim-service` jobs
 /// bit-identical at any thread count.
 #[derive(Debug, Clone)]
@@ -200,9 +203,9 @@ pub struct BankEngine<P: CopProblem> {
     problem: P,
     encoded: MultiInequalityQubo,
     config: HyCimConfig,
-    /// Seed used to fabricate hardware instances (device variability
+    /// The chip fabricated from the hardware seed (device variability
     /// is sampled per-engine, like a real chip).
-    hardware_seed: u64,
+    chip: Arc<BankChip>,
 }
 
 impl<P: CopProblem> BankEngine<P> {
@@ -220,28 +223,26 @@ impl<P: CopProblem> BankEngine<P> {
         Self::with_encoding(problem, encoded, config, hardware_seed)
     }
 
-    /// Builds the engine over an already encoded form, validating the
-    /// hardware mapping eagerly so configuration errors surface at
-    /// build time, not first solve.
+    /// Builds the engine over an already encoded form, fabricating its
+    /// chip once, so mapping errors surface at build time, not first
+    /// solve.
     fn with_encoding(
         problem: &P,
         encoded: MultiInequalityQubo,
         config: &HyCimConfig,
         hardware_seed: u64,
     ) -> Result<Self, HycimError> {
-        let mut rng = StdRng::seed_from_u64(hardware_seed);
-        let _ = BankHardwareState::build(
+        let chip = BankChip::fabricate(
             &encoded,
             &config.filter,
             &config.crossbar,
-            Assignment::zeros(encoded.dim()),
-            &mut rng,
+            &mut StdRng::seed_from_u64(hardware_seed),
         )?;
         Ok(Self {
             problem: problem.clone(),
             encoded,
             config: config.clone(),
-            hardware_seed,
+            chip: Arc::new(chip),
         })
     }
 
@@ -263,15 +264,8 @@ impl<P: CopProblem> BankEngine<P> {
     /// Panics if `initial` violates any constraint or has the wrong
     /// length.
     pub fn solve_from(&self, initial: &Assignment, seed: u64) -> Solution<P> {
-        let mut hw_rng = StdRng::seed_from_u64(self.hardware_seed);
-        let mut state = BankHardwareState::build(
-            &self.encoded,
-            &self.config.filter,
-            &self.config.crossbar,
-            initial.clone(),
-            &mut hw_rng,
-        )
-        .expect("mapping validated at construction");
+        let mut state =
+            BankHardwareState::start(Arc::clone(&self.chip), &self.encoded, initial.clone());
         let mut rng = StdRng::seed_from_u64(seed);
         let trace = run_annealing(&mut state, &self.config.anneal_settings(), &mut rng);
         let assignment = trace.best_assignment().clone();
@@ -296,12 +290,14 @@ impl<P: CopProblem> Engine<P> for BankEngine<P> {
 }
 
 /// The D-QUBO baseline engine the paper compares against (Sec 4.3,
-/// Fig. 10), generic over the problem being encoded.
+/// Fig. 10), generic over the problem being encoded. Its crossbar is
+/// quantized once, at construction, and every solve starts on it.
 #[derive(Debug, Clone)]
 pub struct DquboEngine<P: CopProblem> {
     problem: P,
     form: DquboForm,
     config: DquboConfig,
+    chip: Arc<DquboChip>,
 }
 
 /// The baseline solver of the paper's comparison: the D-QUBO engine
@@ -317,10 +313,12 @@ impl<P: CopProblem> DquboEngine<P> {
     /// Returns [`HycimError`] if the transformation fails.
     pub fn new(problem: &P, config: &DquboConfig) -> Result<Self, HycimError> {
         let form = problem.to_dqubo(config.penalty, config.encoding)?;
+        let chip = DquboChip::fabricate(&form, config.bits, config.current_sigma_rel);
         Ok(Self {
             problem: problem.clone(),
             form,
             config: config.clone(),
+            chip: Arc::new(chip),
         })
     }
 
@@ -340,12 +338,7 @@ impl<P: CopProblem> DquboEngine<P> {
     ///
     /// Panics if `initial.len() != self.form().dim()`.
     pub fn solve_from(&self, initial: &Assignment, seed: u64) -> Solution<P> {
-        let mut state = DquboHardwareState::build(
-            &self.form,
-            self.config.bits,
-            self.config.current_sigma_rel,
-            initial.clone(),
-        );
+        let mut state = DquboHardwareState::start(Arc::clone(&self.chip), initial.clone());
         let mut rng = StdRng::seed_from_u64(seed);
         let trace = run_annealing(&mut state, &self.config.anneal_settings(), &mut rng);
         // Decode the best extended configuration back to the problem

@@ -9,18 +9,86 @@
 //! device-accurate paths of `hycim-cim` validate this equivalence in
 //! tests and generate the paper's validation figures.
 
+use std::sync::Arc;
+
 use hycim_anneal::{AnnealState, FlipOutcome};
 use hycim_cim::crossbar::{Crossbar, CrossbarConfig};
-use hycim_cim::filter::{FilterBank, FilterConfig};
+use hycim_cim::filter::{FilterBank, FilterConfig, FilterReadout};
 use hycim_cim::CimError;
+use hycim_fefet::gaussian;
 use hycim_qubo::dqubo::DquboForm;
 use hycim_qubo::quant::QuantizedMatrix;
 use hycim_qubo::{Assignment, DeltaEngine, InequalityQubo, MultiInequalityQubo, QuboMatrix};
 use rand::rngs::StdRng;
-use rand::Rng;
 
-/// The HyCiM pipeline state: a [`FilterBank`] (one inequality filter
-/// per constraint) + CiM crossbar + SA bookkeeping (paper Fig. 3).
+/// A fabricated HyCiM chip: one inequality filter per constraint plus
+/// the CiM crossbar programmed with the objective (paper Fig. 3),
+/// reduced to what annealing reads.
+///
+/// Device-to-device variability is fixed at fabrication, so one chip
+/// serves every annealing of an instance (the paper runs 1000 initial
+/// states on one programmed chip); engines keep it behind an [`Arc`]
+/// and [`BankHardwareState::start`] each solve on it. Fabrication
+/// samples every filter cell and comparator and programs the crossbar,
+/// then keeps only each filter's [`FilterReadout`], the stored matrix
+/// and the crossbar's readout σ — the cell arrays are dropped.
+#[derive(Debug, Clone)]
+pub struct BankChip {
+    /// The matrix the crossbar actually stores (quantized).
+    matrix: QuboMatrix,
+    /// One fast-path readout per constraint, in constraint order.
+    filters: Vec<FilterReadout>,
+    /// Constraint weights, item-major: `weights[i * k + c]` is item
+    /// `i`'s weight in constraint `c`, so a flip reads one contiguous
+    /// run of `k`.
+    weights: Vec<u64>,
+    /// Per-readout energy noise sigma.
+    readout_sigma: f64,
+}
+
+impl BankChip {
+    /// Fabricates the chip for a multi-inequality QUBO problem: one
+    /// filter per constraint, then the crossbar with the objective.
+    ///
+    /// Device variability is sampled from `rng` filter-by-filter in
+    /// constraint order, then for the crossbar — so a fixed hardware
+    /// seed fabricates the same "chip instance" (bank included) on
+    /// every call.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CimError`] from filter-bank or crossbar
+    /// construction.
+    pub fn fabricate(
+        problem: &MultiInequalityQubo,
+        filter_config: &FilterConfig,
+        crossbar_config: &CrossbarConfig,
+        rng: &mut StdRng,
+    ) -> Result<Self, CimError> {
+        let constraints = problem.constraints();
+        let filters = FilterBank::build(constraints, filter_config, rng)?
+            .filters()
+            .iter()
+            .map(|f| f.readout().clone())
+            .collect();
+        let crossbar = Crossbar::program(problem.objective(), crossbar_config, rng)?;
+        // Typical readout activates about half the programmed cells.
+        let typical_active = crossbar.mapping().programmed_cells() / 2;
+        let weights = (0..problem.dim())
+            .flat_map(|i| constraints.iter().map(move |c| c.weights()[i]))
+            .collect();
+        Ok(Self {
+            readout_sigma: crossbar.readout_sigma(typical_active),
+            matrix: crossbar.stored_matrix().clone(),
+            filters,
+            weights,
+        })
+    }
+}
+
+/// The HyCiM pipeline state: a shared [`BankChip`] (one inequality
+/// filter per constraint + CiM crossbar) plus one annealing's SA
+/// bookkeeping (paper Fig. 3).
 ///
 /// The paper's single inequality filter is the `k = 1` bank. With
 /// more constraints the bank programs the *exact* per-constraint form
@@ -37,37 +105,52 @@ use rand::Rng;
 /// every cell.
 #[derive(Debug, Clone)]
 pub struct BankHardwareState {
-    /// The matrix the crossbar actually stores (quantized).
-    matrix: QuboMatrix,
-    bank: FilterBank,
-    /// Constraint weights, item-major: `weights[i * k + c]` is item
-    /// `i`'s weight in constraint `c`, so a flip reads one contiguous
-    /// run of `k`.
-    weights: Vec<u64>,
+    chip: Arc<BankChip>,
     x: Assignment,
     /// Current per-constraint loads, index-aligned with the bank.
     loads: Vec<u64>,
     /// Energy as reported by the hardware (accumulated noisy deltas) —
     /// what the SA logic sees.
     energy: f64,
-    /// Per-readout energy noise sigma.
-    readout_sigma: f64,
     /// Flip-delta backend over the stored matrix (local fields by
     /// default).
     deltas: DeltaEngine,
 }
 
 impl BankHardwareState {
-    /// Builds the hardware state for a multi-inequality QUBO problem:
-    /// programs one filter per constraint and the crossbar with the
-    /// objective, then initializes at `initial` (must satisfy every
-    /// constraint).
+    /// Starts one annealing on a fabricated chip at `initial` (must
+    /// satisfy every constraint of `problem`, the problem the chip was
+    /// fabricated for). Draws nothing from any RNG.
     ///
-    /// Device variability is sampled from `rng` filter-by-filter in
-    /// constraint order, then for the crossbar — so a fixed hardware
-    /// seed fabricates the same "chip instance" (bank included) on
-    /// every build, which is what keeps bank solves bit-identical
-    /// across threads and services.
+    /// # Panics
+    ///
+    /// Panics if `initial` violates any constraint, or if `problem`'s
+    /// dimension or constraint count differs from the chip's.
+    pub fn start(chip: Arc<BankChip>, problem: &MultiInequalityQubo, initial: Assignment) -> Self {
+        assert!(
+            problem.is_feasible(&initial),
+            "initial configuration must satisfy every constraint"
+        );
+        assert_eq!(chip.matrix.dim(), problem.dim(), "chip dimension mismatch");
+        assert_eq!(
+            chip.filters.len(),
+            problem.num_constraints(),
+            "chip constraint count mismatch"
+        );
+        let loads = problem.loads(&initial);
+        let energy = chip.matrix.energy(&initial);
+        let deltas = DeltaEngine::local(&chip.matrix, &initial);
+        Self {
+            chip,
+            x: initial,
+            loads,
+            energy,
+            deltas,
+        }
+    }
+
+    /// Fabricates a chip from `rng` ([`BankChip::fabricate`]) and
+    /// starts one annealing on it at `initial` ([`Self::start`]).
     ///
     /// # Errors
     ///
@@ -84,33 +167,8 @@ impl BankHardwareState {
         initial: Assignment,
         rng: &mut StdRng,
     ) -> Result<Self, CimError> {
-        assert!(
-            problem.is_feasible(&initial),
-            "initial configuration must satisfy every constraint"
-        );
-        let bank = FilterBank::build(problem.constraints(), filter_config, rng)?;
-        let crossbar = Crossbar::program(problem.objective(), crossbar_config, rng)?;
-        let matrix = crossbar.stored_matrix().clone();
-        // Typical readout activates about half the programmed cells.
-        let typical_active = crossbar.mapping().programmed_cells() / 2;
-        let readout_sigma = crossbar.readout_sigma(typical_active);
-        let constraints = problem.constraints();
-        let weights = (0..problem.dim())
-            .flat_map(|i| constraints.iter().map(move |c| c.weights()[i]))
-            .collect();
-        let loads = problem.loads(&initial);
-        let energy = matrix.energy(&initial);
-        let deltas = DeltaEngine::local(&matrix, &initial);
-        Ok(Self {
-            matrix,
-            bank,
-            weights,
-            x: initial,
-            loads,
-            energy,
-            readout_sigma,
-            deltas,
-        })
+        let chip = BankChip::fabricate(problem, filter_config, crossbar_config, rng)?;
+        Ok(Self::start(Arc::new(chip), problem, initial))
     }
 
     /// Switches to dense O(n) row-scan deltas over the stored matrix
@@ -126,21 +184,6 @@ impl BankHardwareState {
         &self.loads
     }
 
-    /// The filter bank in use.
-    pub fn bank(&self) -> &FilterBank {
-        &self.bank
-    }
-
-    /// The stored (quantized) objective matrix.
-    pub fn stored_matrix(&self) -> &QuboMatrix {
-        &self.matrix
-    }
-
-    /// Per-readout energy noise sigma.
-    pub fn readout_sigma(&self) -> f64 {
-        self.readout_sigma
-    }
-
     /// Asks the whole bank whether the configuration after flipping
     /// `bits` (distinct indices; none for the current configuration)
     /// satisfies every constraint. Every filter reads, in bank order,
@@ -150,10 +193,10 @@ impl BankHardwareState {
     fn admit(&self, bits: &[usize], rng: &mut StdRng) -> bool {
         let k = self.loads.len();
         let mut feasible = true;
-        for (c, (filter, &load)) in self.bank.filters().iter().zip(&self.loads).enumerate() {
+        for (c, (filter, &load)) in self.chip.filters.iter().zip(&self.loads).enumerate() {
             let mut load = load as i64;
             for &i in bits {
-                let w = self.weights[i * k + c] as i64;
+                let w = self.chip.weights[i * k + c] as i64;
                 load += if self.x.get(i) { -w } else { w };
             }
             debug_assert!(load >= 0, "loads are sums of selected non-negative weights");
@@ -167,7 +210,7 @@ impl BankHardwareState {
         let k = self.loads.len();
         for &i in bits {
             let selected = self.x.flip(i);
-            let row = &self.weights[i * k..(i + 1) * k];
+            let row = &self.chip.weights[i * k..(i + 1) * k];
             for (load, &w) in self.loads.iter_mut().zip(row) {
                 if selected {
                     *load += w;
@@ -181,7 +224,7 @@ impl BankHardwareState {
 
 impl AnnealState for BankHardwareState {
     fn dim(&self) -> usize {
-        self.matrix.dim()
+        self.chip.matrix.dim()
     }
 
     fn assignment(&self) -> &Assignment {
@@ -200,8 +243,9 @@ impl AnnealState for BankHardwareState {
         }
         // Feasible: the crossbar computes the QUBO energy; modeled as
         // the stored matrix's exact delta plus readout noise.
+        let chip = &*self.chip;
         let delta =
-            self.deltas.flip_delta(&self.matrix, &self.x, i) + gaussian(rng) * self.readout_sigma;
+            self.deltas.flip_delta(&chip.matrix, &self.x, i) + gaussian(rng) * chip.readout_sigma;
         FlipOutcome::Feasible { delta }
     }
 
@@ -216,8 +260,9 @@ impl AnnealState for BankHardwareState {
         if !self.admit(&[i, j], rng) {
             return FlipOutcome::Infeasible;
         }
-        let delta = self.deltas.pair_delta(&self.matrix, &self.x, i, j)
-            + gaussian(rng) * self.readout_sigma;
+        let chip = &*self.chip;
+        let delta = self.deltas.pair_delta(&chip.matrix, &self.x, i, j)
+            + gaussian(rng) * chip.readout_sigma;
         FlipOutcome::Feasible { delta }
     }
 
@@ -276,9 +321,10 @@ impl HyCimHardwareState {
     }
 }
 
-/// The D-QUBO baseline state: the penalty-form matrix on a (much
-/// larger) crossbar, no filter — every move is admissible and pays a
-/// full crossbar evaluation (paper Sec 2.1, Fig. 10).
+/// The D-QUBO baseline's fabricated crossbar: the penalty-form matrix
+/// as stored, its readout σ and the expansion's constants — no filter
+/// (paper Sec 2.1, Fig. 10). Like [`BankChip`], one chip serves every
+/// annealing; engines keep it behind an [`Arc`].
 ///
 /// The expanded matrix is quantized at
 /// `⌈log₂(Q_ij)MAX⌉` bits (or an explicit override for ablations) but
@@ -286,29 +332,21 @@ impl HyCimHardwareState {
 /// would be hundreds of millions of cells (the very overhead Fig. 9(c)
 /// charges against D-QUBO).
 #[derive(Debug, Clone)]
-pub struct DquboHardwareState {
+pub struct DquboChip {
+    /// The stored (quantized) penalty matrix.
     matrix: QuboMatrix,
+    /// Constant offset of the penalty expansion.
     offset: f64,
-    x: Assignment,
-    energy: f64,
+    /// Per-readout energy noise sigma.
     readout_sigma: f64,
     num_items: usize,
-    /// Flip-delta backend over the stored matrix (local fields by
-    /// default).
-    deltas: DeltaEngine,
 }
 
-impl DquboHardwareState {
-    /// Builds the baseline state from a D-QUBO form. `bits` overrides
-    /// the quantization width (`None` → `⌈log₂(Q_ij)MAX⌉`, the paper's
-    /// setting, which is lossless for integer penalties).
-    pub fn build(
-        form: &DquboForm,
-        bits: Option<u32>,
-        current_sigma_rel: f64,
-        initial: Assignment,
-    ) -> Self {
-        assert_eq!(initial.len(), form.dim(), "configuration length mismatch");
+impl DquboChip {
+    /// Programs the baseline crossbar with a D-QUBO form. `bits`
+    /// overrides the quantization width (`None` → `⌈log₂(Q_ij)MAX⌉`,
+    /// the paper's setting, which is lossless for integer penalties).
+    pub fn fabricate(form: &DquboForm, bits: Option<u32>, current_sigma_rel: f64) -> Self {
         let bits = bits.unwrap_or_else(|| hycim_qubo::quant::matrix_bits(form.matrix()));
         let quant = QuantizedMatrix::quantize(form.matrix(), bits);
         let matrix = quant.dequantize();
@@ -316,17 +354,64 @@ impl DquboHardwareState {
         // active cell count, which for the D-QUBO matrix is large.
         let typical_active = matrix.nonzeros() * bits as usize / 2;
         let readout_sigma = current_sigma_rel * (typical_active as f64).sqrt() * quant.scale();
-        let energy = matrix.energy(&initial) + form.offset();
-        let deltas = DeltaEngine::local(&matrix, &initial);
         Self {
             matrix,
             offset: form.offset(),
-            x: initial,
-            energy,
             readout_sigma,
             num_items: form.num_items(),
+        }
+    }
+}
+
+/// The D-QUBO baseline state: one annealing on a shared [`DquboChip`].
+/// Every move is admissible and pays a full crossbar evaluation.
+#[derive(Debug, Clone)]
+pub struct DquboHardwareState {
+    chip: Arc<DquboChip>,
+    x: Assignment,
+    energy: f64,
+    /// Flip-delta backend over the stored matrix (local fields by
+    /// default).
+    deltas: DeltaEngine,
+}
+
+impl DquboHardwareState {
+    /// Starts one annealing on a programmed baseline crossbar at
+    /// `initial`, a configuration of the extended space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `initial.len()` differs from the chip's dimension.
+    pub fn start(chip: Arc<DquboChip>, initial: Assignment) -> Self {
+        assert_eq!(
+            initial.len(),
+            chip.matrix.dim(),
+            "configuration length mismatch"
+        );
+        let energy = chip.matrix.energy(&initial) + chip.offset;
+        let deltas = DeltaEngine::local(&chip.matrix, &initial);
+        Self {
+            chip,
+            x: initial,
+            energy,
             deltas,
         }
+    }
+
+    /// Programs a chip ([`DquboChip::fabricate`]) and starts one
+    /// annealing on it at `initial` ([`Self::start`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `initial.len() != form.dim()`.
+    pub fn build(
+        form: &DquboForm,
+        bits: Option<u32>,
+        current_sigma_rel: f64,
+        initial: Assignment,
+    ) -> Self {
+        let chip = DquboChip::fabricate(form, bits, current_sigma_rel);
+        Self::start(Arc::new(chip), initial)
     }
 
     /// Switches to dense O(n) row-scan deltas over the stored matrix
@@ -338,28 +423,13 @@ impl DquboHardwareState {
 
     /// Item part of the current configuration.
     pub fn item_assignment(&self) -> Assignment {
-        self.x.truncated(self.num_items)
-    }
-
-    /// Per-readout energy noise sigma.
-    pub fn readout_sigma(&self) -> f64 {
-        self.readout_sigma
-    }
-
-    /// The stored (quantized) penalty matrix.
-    pub fn stored_matrix(&self) -> &QuboMatrix {
-        &self.matrix
-    }
-
-    /// Constant offset of the penalty expansion.
-    pub fn offset(&self) -> f64 {
-        self.offset
+        self.x.truncated(self.chip.num_items)
     }
 }
 
 impl AnnealState for DquboHardwareState {
     fn dim(&self) -> usize {
-        self.matrix.dim()
+        self.chip.matrix.dim()
     }
 
     fn assignment(&self) -> &Assignment {
@@ -371,9 +441,10 @@ impl AnnealState for DquboHardwareState {
     }
 
     fn probe_flip(&mut self, i: usize, rng: &mut StdRng) -> FlipOutcome {
+        let chip = &*self.chip;
         FlipOutcome::Feasible {
-            delta: self.deltas.flip_delta(&self.matrix, &self.x, i)
-                + gaussian(rng) * self.readout_sigma,
+            delta: self.deltas.flip_delta(&chip.matrix, &self.x, i)
+                + gaussian(rng) * chip.readout_sigma,
         }
     }
 
@@ -385,8 +456,9 @@ impl AnnealState for DquboHardwareState {
 
     fn probe_pair(&mut self, i: usize, j: usize, rng: &mut StdRng) -> FlipOutcome {
         assert_ne!(i, j, "pair flip needs two distinct bits");
-        let delta = self.deltas.pair_delta(&self.matrix, &self.x, i, j)
-            + gaussian(rng) * self.readout_sigma;
+        let chip = &*self.chip;
+        let delta = self.deltas.pair_delta(&chip.matrix, &self.x, i, j)
+            + gaussian(rng) * chip.readout_sigma;
         FlipOutcome::Feasible { delta }
     }
 
@@ -395,16 +467,6 @@ impl AnnealState for DquboHardwareState {
         self.x.flip(j);
         self.deltas.commit_pair(&self.x, i, j);
         self.energy += delta;
-    }
-}
-
-fn gaussian(rng: &mut StdRng) -> f64 {
-    loop {
-        let u1: f64 = rng.random::<f64>();
-        if u1 > f64::MIN_POSITIVE {
-            let u2: f64 = rng.random::<f64>();
-            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        }
     }
 }
 
@@ -496,7 +558,7 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        assert!(hw.readout_sigma() > 0.0);
+        assert!(hw.chip.readout_sigma > 0.0);
         let deltas: Vec<f64> = (0..50)
             .filter_map(|_| match hw.probe_flip(0, &mut rng) {
                 FlipOutcome::Feasible { delta } => Some(delta),
@@ -528,7 +590,7 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        assert_eq!(hw.bank().len(), 2);
+        assert_eq!(hw.chip.filters.len(), 2);
         // Random walk: energies must track the exact objective and the
         // trajectory must stay inside every bin's capacity.
         for step in 0..400 {
@@ -632,7 +694,7 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        assert_eq!(hw.bank().len(), 3);
+        assert_eq!(hw.chip.filters.len(), 3);
         for step in 0..300 {
             let i = step % 12;
             if let FlipOutcome::Feasible { delta } = hw.probe_flip(i, &mut rng) {

@@ -79,7 +79,9 @@ pub use engine::{
     SoftwareSolver,
 };
 pub use error::HycimError;
-pub use hardware::{BankHardwareState, DquboHardwareState, HyCimHardwareState};
+pub use hardware::{
+    BankChip, BankHardwareState, DquboChip, DquboHardwareState, HyCimHardwareState,
+};
 pub use kind::{EngineKind, EngineSettings};
 pub use packed_engine::{PackedConfig, PackedEngine, PackedMode};
 pub use shard::{merge_shards, Shard, ShardError, ShardPlan};

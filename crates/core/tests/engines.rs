@@ -441,3 +441,134 @@ mod pinned_solves {
         );
     }
 }
+
+/// The fabricate-once law: an engine fabricates its chip once, from
+/// the hardware seed, and every `solve_from` only starts its state on
+/// that chip. So each solve must equal the hand-assembled pipeline that
+/// fabricates a fresh chip per solve — build from a fresh hardware RNG
+/// → `run_annealing` → score — bit for bit, seed after seed on one
+/// engine, under the default noisy filter and crossbar.
+mod fabricate_once {
+    use super::*;
+    use hycim_core::{run_annealing, BankHardwareState, DquboHardwareState};
+    use hycim_qubo::{Assignment, MultiInequalityQubo};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    const HARDWARE_SEED: u64 = 7;
+    const SEEDS: std::ops::Range<u64> = 0..8;
+
+    fn config() -> HyCimConfig {
+        HyCimConfig::default().with_sweeps(60)
+    }
+
+    fn assert_same_bits<P: CopProblem>(
+        solution: &Solution<P>,
+        problem: &P,
+        best: &Assignment,
+        trace: &hycim_anneal::AnnealTrace,
+        seed: u64,
+    ) {
+        assert_eq!(&solution.assignment, best, "seed {seed}");
+        assert_eq!(solution.objective, problem.objective(best), "seed {seed}");
+        assert_eq!(
+            solution.reported_energy.to_bits(),
+            trace.best_energy().to_bits(),
+            "seed {seed}"
+        );
+        assert_eq!(solution.trace.accepted(), trace.accepted(), "seed {seed}");
+        assert_eq!(
+            solution.trace.rejected_infeasible(),
+            trace.rejected_infeasible(),
+            "seed {seed}"
+        );
+    }
+
+    /// `solve_from` of a filter engine over `encoded` against a fresh
+    /// `BankHardwareState::build` per seed. Starts come from a stream
+    /// other than the solve seed's, so `solve_from` is exercised away
+    /// from `solve`'s own initial state.
+    fn check_bank_law<P: CopProblem>(
+        problem: &P,
+        encoded: &MultiInequalityQubo,
+        solve_from: impl Fn(&Assignment, u64) -> Solution<P>,
+    ) {
+        let config = config();
+        for seed in SEEDS {
+            let initial = problem.initial(&mut StdRng::seed_from_u64(seed + 100));
+            assert!(encoded.is_feasible(&initial), "{}", problem.kind());
+            let solution = solve_from(&initial, seed);
+            let mut state = BankHardwareState::build(
+                encoded,
+                &config.filter,
+                &config.crossbar,
+                initial,
+                &mut StdRng::seed_from_u64(HARDWARE_SEED),
+            )
+            .expect("maps onto the bank");
+            let trace = run_annealing(
+                &mut state,
+                &config.anneal_settings(),
+                &mut StdRng::seed_from_u64(seed),
+            );
+            assert_same_bits(&solution, problem, trace.best_assignment(), &trace, seed);
+        }
+    }
+
+    fn check_hycim_law<P: CopProblem>(problem: &P) {
+        let engine = HyCimEngine::new(problem, &config(), HARDWARE_SEED).expect("maps");
+        let encoded = MultiInequalityQubo::from(problem.to_inequality_qubo().expect("encodes"));
+        check_bank_law(problem, &encoded, |x, seed| engine.solve_from(x, seed));
+    }
+
+    fn check_bank_engine_law<P: CopProblem>(problem: &P) {
+        let engine = BankEngine::new(problem, &config(), HARDWARE_SEED).expect("maps");
+        let encoded = problem.to_multi_inequality_qubo().expect("encodes");
+        check_bank_law(problem, &encoded, |x, seed| engine.solve_from(x, seed));
+    }
+
+    #[test]
+    fn hycim_on_qkp_equals_a_fresh_chip_per_solve() {
+        check_hycim_law(&hycim_cop::generator::QkpGenerator::new(30, 0.5).generate(3));
+    }
+
+    #[test]
+    fn hycim_on_bin_packing_equals_a_fresh_chip_per_solve() {
+        check_hycim_law(&BinPacking::new(vec![4, 5, 3, 6, 2, 7], 10, 3).unwrap());
+    }
+
+    #[test]
+    fn bank_on_mkp_equals_a_fresh_chip_per_solve() {
+        check_bank_engine_law(&MkpGenerator::new(20, 3).generate(4));
+    }
+
+    #[test]
+    fn bank_on_bin_packing_equals_a_fresh_chip_per_solve() {
+        check_bank_engine_law(&BinPacking::new(vec![4, 5, 3, 6, 2, 7], 10, 3).unwrap());
+    }
+
+    #[test]
+    fn dqubo_equals_a_freshly_programmed_crossbar_per_solve() {
+        let problem = hycim_cop::generator::QkpGenerator::new(12, 0.5)
+            .with_capacity_range(10, 40)
+            .generate(5);
+        let config = DquboConfig::default().with_sweeps(60);
+        let engine = DquboEngine::new(&problem, &config).expect("has a D-QUBO form");
+        let form = engine.form();
+        for seed in SEEDS {
+            let mut rng = StdRng::seed_from_u64(seed + 100);
+            let items = Assignment::random_with_density(form.num_items(), 0.3, &mut rng);
+            let initial = form.lift(&items);
+            let solution = engine.solve_from(&initial, seed);
+            let mut state =
+                DquboHardwareState::build(form, config.bits, config.current_sigma_rel, initial);
+            let trace = run_annealing(
+                &mut state,
+                &config.anneal_settings(),
+                &mut StdRng::seed_from_u64(seed),
+            );
+            let best = form.decode(trace.best_assignment());
+            assert_same_bits(&solution, &problem, &best, &trace, seed);
+        }
+    }
+}

@@ -125,9 +125,23 @@ impl Default for VariationModel {
     }
 }
 
-/// Standard normal sample via Box–Muller (keeps the crate free of
+/// Standard normal sample via Box–Muller (keeps the workspace free of
 /// distribution dependencies).
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+///
+/// Draws two uniforms per sample (more only in the vanishingly rare
+/// case that the first is not positive), so every simulated noise
+/// source in the workspace consumes its RNG stream identically.
+///
+/// # Example
+///
+/// ```
+/// use rand::{rngs::StdRng, SeedableRng};
+///
+/// let mut rng = StdRng::seed_from_u64(1);
+/// let z = hycim_fefet::gaussian(&mut rng);
+/// assert!(z.is_finite());
+/// ```
+pub fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u1: f64 = rng.random::<f64>();
         if u1 > f64::MIN_POSITIVE {

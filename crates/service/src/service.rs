@@ -145,7 +145,7 @@ struct JobEntry {
     task: Option<ErasedTask>,
     result: Option<ErasedResult>,
     error: Option<String>,
-    /// Set by [`JobService::forget`] on a running job: the completion
+    /// Set by [`JobService::dispose`] on a running job: the completion
     /// path drops the entry instead of storing its result.
     forgotten: bool,
     /// When the job entered the queue — the start of the
@@ -493,57 +493,23 @@ impl JobService {
         self.fetch(id)
     }
 
-    /// Cancels a job if it is still queued: true when this call won
-    /// the race (the job will never run), false when the job already
-    /// started, finished, or is unknown. Running jobs cannot be
-    /// interrupted — a solve is a pure function with no safe
-    /// cancellation point.
-    pub fn cancel(&self, id: JobId) -> bool {
-        let mut state = self.shared.state.lock().expect("service state lock");
-        let Some(entry) = state.jobs.get_mut(&id.0) else {
-            return false;
-        };
-        if entry.status != JobStatus::Queued {
-            return false;
-        }
-        entry.status = JobStatus::Cancelled;
-        entry.task = None;
-        state.queue.retain(|&queued| queued != id);
-        self.shared
-            .metrics
-            .queue_depth
-            .set(state.queue.len() as u64);
-        self.shared.metrics.cancelled([id]);
-        drop(state);
-        self.shared.done_cv.notify_all();
-        true
-    }
-
-    /// Drops a job's book-keeping without fetching its result: the
-    /// disposal path for fire-and-forget submissions and for jobs
-    /// whose caller lost interest after they started running (where
-    /// [`cancel`](Self::cancel) no longer applies). A queued job is
-    /// cancelled first; a running job's entry is dropped as soon as
-    /// its worker finishes, its result discarded. Returns false when
-    /// the id is unknown or already fetched.
+    /// Disposes of a job without fetching its result, reporting the
+    /// lifecycle stage it found — what the wire protocol's `cancel`
+    /// verb reports back. A queued job is cancelled (it will never
+    /// run) and dropped; a running job cannot be interrupted — a solve
+    /// is a pure function with no safe cancellation point — so its
+    /// entry is dropped the moment its worker finishes, the result
+    /// discarded; a terminal job's retained entry is dropped.
     ///
     /// The service retains every unfetched terminal result (that is
     /// what makes fetch-after-completion work), so callers that
-    /// abandon jobs **must** forget them or the result store grows
+    /// abandon jobs **must** dispose of them or the result store grows
     /// with each abandoned job.
     ///
-    /// Equivalent to checking [`dispose`](Self::dispose) against
-    /// [`DisposeOutcome::Unknown`].
-    pub fn forget(&self, id: JobId) -> bool {
-        !matches!(self.dispose(id), DisposeOutcome::Unknown)
-    }
-
-    /// [`forget`](Self::forget) with the outcome spelled out — what the
-    /// wire protocol's `cancel` verb reports back. The whole decision
-    /// runs under one lock acquisition, so a dispose racing a
-    /// concurrent fetch (or a worker finishing the job) observes
-    /// exactly one consistent lifecycle stage: a job can never end up
-    /// half-disposed with a stuck `Running` entry.
+    /// The whole decision runs under one lock acquisition, so a
+    /// dispose racing a concurrent fetch (or a worker finishing the
+    /// job) observes exactly one consistent lifecycle stage: a job can
+    /// never end up half-disposed with a stuck `Running` entry.
     pub fn dispose(&self, id: JobId) -> DisposeOutcome {
         let mut state = self.shared.state.lock().expect("service state lock");
         let Some(entry) = state.jobs.get_mut(&id.0) else {
@@ -876,50 +842,6 @@ mod tests {
     }
 
     #[test]
-    fn forget_disposes_of_every_lifecycle_stage() {
-        let engine = maxcut_engine(10);
-        let service = JobService::start(ServiceConfig::new().with_workers(1));
-
-        // Unknown ids are a no-op.
-        assert!(!service.forget(JobId(999)));
-
-        // Done: the retained result is dropped without a fetch.
-        let done = service.submit(&engine, 1).unwrap();
-        service.wait(done);
-        assert!(service.forget(done));
-        assert_eq!(service.status(done), None);
-        assert!(!service.forget(done), "already disposed");
-
-        // Queued: behaves like cancel + dispose (the job never runs).
-        let head = service.submit_batch(&engine, 64, 2).unwrap();
-        let queued = service.submit(&engine, 3).unwrap();
-        assert!(service.forget(queued));
-        assert_eq!(service.status(queued), None);
-
-        // Running: the completion path drops the entry.
-        while service.status(head) == Some(JobStatus::Queued) {
-            std::thread::yield_now();
-        }
-        if service.status(head) == Some(JobStatus::Running) {
-            assert!(service.forget(head));
-            while service.status(head).is_some() {
-                std::thread::yield_now();
-            }
-        } else {
-            // The worker already finished: forget still disposes.
-            assert!(service.forget(head));
-        }
-        assert_eq!(service.status(head), None);
-        assert!(matches!(
-            service.fetch::<hycim_cop::maxcut::MaxCut>(head),
-            Err(FetchError::Unknown(_))
-        ));
-
-        // The store is empty: nothing leaked.
-        assert!(service.shared.state.lock().unwrap().jobs.is_empty());
-    }
-
-    #[test]
     fn value_jobs_round_trip_with_typed_fetch() {
         let service = JobService::start(ServiceConfig::new().with_workers(2));
         let id = service.submit_with(|| 6u64 * 7).unwrap();
@@ -963,6 +885,7 @@ mod tests {
         let done = service.submit(&engine, 1).unwrap();
         service.wait(done);
         assert_eq!(service.dispose(done), DisposeOutcome::Discarded);
+        assert_eq!(service.status(done), None);
         assert_eq!(service.dispose(done), DisposeOutcome::Unknown);
 
         // Park the worker on a long batch, then queue one more.
@@ -984,14 +907,20 @@ mod tests {
             DisposeOutcome::Discarded => {} // worker already finished
             other => panic!("unexpected outcome {other:?}"),
         }
+        assert_eq!(service.status(head), None);
+        assert!(matches!(
+            service.fetch::<hycim_cop::maxcut::MaxCut>(head),
+            Err(FetchError::Unknown(_))
+        ));
+        // The store is empty: nothing leaked.
         assert_eq!(service.live_jobs(), 0);
     }
 
     #[test]
     fn concurrent_dispose_and_fetch_never_strand_an_entry() {
-        // The regression this guards: the old forget() took the lock
-        // twice (cancel, then re-lock), so a fetch could interleave
-        // and the second half would act on stale state. Hammer
+        // The regression this guards: a disposal that takes the lock
+        // twice (cancel, then re-lock) lets a fetch interleave, and
+        // the second half would act on stale state. Hammer
         // dispose against fetch and the worker from three sides and
         // assert the job table always drains to empty.
         let engine = maxcut_engine(8);
@@ -1102,8 +1031,8 @@ mod tests {
         assert!(matches!(overflow, Err(SubmitError::QueueFull { .. })));
 
         // Cancelled path.
-        assert!(service.cancel(queued));
-        service.forget(head);
+        assert_eq!(service.dispose(queued), DisposeOutcome::Cancelled);
+        assert_ne!(service.dispose(head), DisposeOutcome::Unknown);
         service.wait(head);
 
         let snapshot = obs.snapshot();

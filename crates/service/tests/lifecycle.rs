@@ -14,7 +14,9 @@ use hycim_core::{
     replica_seed, BankEngine, BatchRunner, DquboConfig, DquboEngine, Engine, HyCimConfig,
     HyCimEngine, SoftwareEngine, Solution,
 };
-use hycim_service::{FetchError, JobService, JobStatus, ServiceConfig, SubmitError};
+use hycim_service::{
+    DisposeOutcome, FetchError, JobService, JobStatus, ServiceConfig, SubmitError,
+};
 
 fn qkp_engine(seed: u64) -> Arc<HyCimEngine<QkpInstance>> {
     let inst = QkpGenerator::new(20, 0.5).generate(seed);
@@ -160,45 +162,56 @@ fn bank_engine_jobs_are_bit_identical_and_bin_exact() {
     }
 }
 
-/// Cancelling a queued job prevents it from ever running; its entry
-/// reports `Cancelled` until fetched, and fetching yields the typed
-/// cancellation error.
+/// Disposing of a queued job cancels it: it never runs and its entry
+/// is dropped at once. `cancel_queued` instead keeps the cancelled
+/// entries, and fetching one yields the typed cancellation error.
 #[test]
 fn cancellation_of_queued_jobs() {
     let engine = qkp_engine(9);
     // One worker + a long head-of-line job keeps later jobs queued.
     let service = JobService::start(ServiceConfig::new().with_workers(1).with_queue_capacity(16));
     let head = service.submit_batch(&engine, 8, 1).expect("capacity");
+    while service.status(head) == Some(JobStatus::Queued) {
+        std::thread::yield_now();
+    }
     let victims: Vec<_> = (0..4)
         .map(|s| service.submit(&engine, s).expect("capacity"))
         .collect();
 
-    let mut cancelled = Vec::new();
     for &job in &victims {
-        if service.cancel(job) {
-            assert_eq!(service.status(job), Some(JobStatus::Cancelled));
-            cancelled.push(job);
+        match service.dispose(job) {
+            DisposeOutcome::Cancelled => {
+                assert_eq!(service.status(job), None);
+                // Double-dispose is a no-op, not an error.
+                assert_eq!(service.dispose(job), DisposeOutcome::Unknown);
+                assert!(matches!(
+                    service.fetch::<QkpInstance>(job),
+                    Err(FetchError::Unknown(id)) if id == job
+                ));
+            }
+            // The worker reached the job first: its entry goes when
+            // the solve finishes.
+            DisposeOutcome::Deferred | DisposeOutcome::Discarded => {}
+            DisposeOutcome::Unknown => panic!("{job} was submitted and never fetched"),
         }
     }
-    // Double-cancel is a no-op, not an error.
-    for &job in &cancelled {
-        assert!(!service.cancel(job));
-    }
-    for &job in &cancelled {
+
+    let late: Vec<_> = (4..6)
+        .map(|s| service.submit(&engine, s).expect("capacity"))
+        .collect();
+    let dropped = service.cancel_queued();
+    for &job in &late {
         match service.wait_fetch::<QkpInstance>(job) {
             Err(FetchError::Cancelled(id)) => assert_eq!(id, job),
+            // Only if the worker got there before `cancel_queued`.
+            Ok(_) => assert!(dropped < late.len()),
             other => panic!("expected Cancelled, got {other:?}"),
         }
         // Fetch consumed the entry.
         assert_eq!(service.status(job), None);
     }
-    // Untouched jobs still complete correctly.
+    // The head job still completes correctly.
     assert!(service.wait_fetch::<QkpInstance>(head).is_ok());
-    for job in victims {
-        if !cancelled.contains(&job) {
-            assert!(service.wait_fetch::<QkpInstance>(job).is_ok());
-        }
-    }
 }
 
 /// The queue bound is enforced per waiting job: submits beyond it

@@ -11,7 +11,7 @@ use hycim::cop::generator::QkpGenerator;
 use hycim::cop::maxcut::MaxCut;
 use hycim::cop::QkpInstance;
 use hycim::core::{Engine, HyCimConfig, HyCimEngine};
-use hycim::service::{FetchError, JobService, ServiceConfig, SubmitError};
+use hycim::service::{DisposeOutcome, JobService, ServiceConfig, SubmitError};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Two unrelated problem types behind one queue.
@@ -79,12 +79,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let running = small.submit(&qkp_engine, 100)?;
     let queued = small.submit(&qkp_engine, 101)?;
-    let won = small.cancel(queued);
-    println!("cancel({queued}) while queued: {won}");
-    match small.wait_fetch::<QkpInstance>(queued) {
-        Err(FetchError::Cancelled(id)) => println!("  {id} reports cancelled, never ran"),
-        Ok(_) => println!("  worker won the race; job completed before cancel"),
-        Err(other) => return Err(other.into()),
+    let outcome = small.dispose(queued);
+    println!("dispose({queued}) while queued: {}", outcome.tag());
+    match outcome {
+        DisposeOutcome::Cancelled => println!("  {queued} was cancelled, never ran"),
+        DisposeOutcome::Deferred | DisposeOutcome::Discarded => {
+            println!("  worker won the race; result discarded")
+        }
+        DisposeOutcome::Unknown => unreachable!("{queued} was submitted and never fetched"),
     }
     small.wait(running);
 
