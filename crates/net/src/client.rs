@@ -12,7 +12,9 @@ use hycim_obs::Snapshot;
 use hycim_service::{DisposeOutcome, JobStatus};
 
 use crate::frame::{FrameError, MessageReceiver, MessageSender};
-use crate::proto::{ErrorCode, JobSpec, ProtoError, Request, Response, WireSolution};
+use crate::proto::{
+    ErrorCode, JobSpec, ProtoError, Request, Response, WireSolution, MAX_POLL_WAIT_MS,
+};
 
 /// Any failure of the networked path, every variant typed — the
 /// coordinator never surfaces a hang or a corrupted merge, it
@@ -160,6 +162,10 @@ impl From<ProtoError> for NetError {
 pub struct WorkerClient {
     sender: MessageSender<TcpStream>,
     receiver: MessageReceiver<BufReader<TcpStream>>,
+    /// What a waiting poll asks the worker to hold:
+    /// `min(MAX_POLL_WAIT_MS, read timeout / 2)`, so the reply always
+    /// lands well inside the read deadline.
+    poll_wait_ms: u64,
 }
 
 impl WorkerClient {
@@ -201,17 +207,22 @@ impl WorkerClient {
         Ok(Self {
             sender: MessageSender::new(stream),
             receiver: MessageReceiver::new(reader),
+            poll_wait_ms: MAX_POLL_WAIT_MS,
         })
     }
 
     /// Sets a read timeout so a silent peer turns into a typed
-    /// [`NetError::Timeout`] instead of a hang.
+    /// [`NetError::Timeout`] instead of a hang. Waiting polls then ask
+    /// for at most half of it.
     ///
     /// # Errors
     ///
     /// Transport failures.
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), NetError> {
         self.receiver_stream().set_read_timeout(timeout)?;
+        let cap = Duration::from_millis(MAX_POLL_WAIT_MS);
+        // At most `MAX_POLL_WAIT_MS`, so the cast is lossless.
+        self.poll_wait_ms = timeout.map_or(cap, |t| (t / 2).min(cap)).as_millis() as u64;
         Ok(())
     }
 
@@ -281,7 +292,23 @@ impl WorkerClient {
     ///
     /// Any [`NetError`].
     pub fn poll(&mut self, job: u64) -> Result<JobStatus, NetError> {
-        match self.call(&Request::Poll { job }, "status")? {
+        self.poll_request(job, None)
+    }
+
+    /// Polls a job, letting the worker hold the reply until the job
+    /// turns terminal or `min(MAX_POLL_WAIT_MS, read timeout / 2)`
+    /// elapses — whichever comes first. A non-terminal answer means
+    /// the bound ran out, not that the peer hung.
+    ///
+    /// # Errors
+    ///
+    /// Any [`NetError`].
+    pub fn poll_wait(&mut self, job: u64) -> Result<JobStatus, NetError> {
+        self.poll_request(job, Some(self.poll_wait_ms))
+    }
+
+    fn poll_request(&mut self, job: u64, wait_ms: Option<u64>) -> Result<JobStatus, NetError> {
+        match self.call(&Request::Poll { job, wait_ms }, "status")? {
             Response::Status { status, .. } => Ok(status),
             _ => unreachable!("call() checked the reply kind"),
         }
@@ -327,20 +354,19 @@ impl WorkerClient {
         }
     }
 
-    /// Polls until the job turns terminal, then fetches — the
-    /// blocking convenience for single-worker callers.
+    /// Waits until the job turns terminal, then fetches — the
+    /// blocking convenience for single-worker callers. The wait is a
+    /// loop of [`poll_wait`](Self::poll_wait)s, each held by the worker
+    /// until the job finishes or the poll's bound runs out, so a job
+    /// that finishes inside one bound costs three round trips in all
+    /// (submit, one poll, fetch) and nothing sleeps on this side.
     ///
     /// # Errors
     ///
     /// Any [`NetError`].
     pub fn wait_fetch(&mut self, job: u64) -> Result<Vec<WireSolution>, NetError> {
-        loop {
-            let status = self.poll(job)?;
-            if status.is_terminal() {
-                return self.fetch(job);
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        while !self.poll_wait(job)?.is_terminal() {}
+        self.fetch(job)
     }
 }
 

@@ -152,6 +152,12 @@ pub fn shard_replica_column(
     (plan.total(), jobs)
 }
 
+/// The pause of a round that made no progress and had no shard in
+/// flight to wait on (every worker on probation). Without it the
+/// probation schedule, counted in rounds, would spend its probes in
+/// microseconds.
+const IDLE_ROUND_PAUSE: Duration = Duration::from_millis(2);
+
 /// The injectable sleep used for backoff waits — tests swap in a
 /// recorder so retry schedules are asserted, not slept through.
 pub type SleepFn = Arc<dyn Fn(Duration) + Send + Sync>;
@@ -163,7 +169,6 @@ pub type SleepFn = Arc<dyn Fn(Duration) + Send + Sync>;
 pub struct Coordinator {
     addrs: Vec<String>,
     max_attempts: usize,
-    poll_interval: Duration,
     read_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
     connect_timeout: Option<Duration>,
@@ -227,6 +232,9 @@ enum Slot {
         job: u64,
         attempts: usize,
         chain: Vec<String>,
+        /// Run-wide dispatch order; the smallest pending value gets
+        /// the round's waiting poll.
+        dispatched: u64,
     },
     /// Fetched.
     Done(Vec<WireSolution>),
@@ -241,7 +249,6 @@ impl Coordinator {
         Self {
             addrs,
             max_attempts,
-            poll_interval: Duration::from_millis(2),
             read_timeout: None,
             write_timeout: None,
             connect_timeout: None,
@@ -342,7 +349,7 @@ impl Coordinator {
 
     /// Replaces the backoff sleep (tests inject a recorder so retry
     /// schedules are asserted without real waits). Only backoff waits
-    /// route through this hook; the poll interval does not.
+    /// route through this hook.
     pub fn with_sleep_fn(mut self, sleep: SleepFn) -> Self {
         self.sleep = sleep;
         self
@@ -439,6 +446,12 @@ impl Coordinator {
     /// default) the run completes whenever the specs are solvable at
     /// all — worker faults degrade throughput, never the result.
     ///
+    /// Nothing sleeps between polls: each round sends one waiting
+    /// poll, on the oldest pending shard, which its worker holds until
+    /// that shard finishes or the poll's bound (at most
+    /// [`MAX_POLL_WAIT_MS`](crate::proto::MAX_POLL_WAIT_MS)) runs out,
+    /// and a plain poll for every other pending shard.
+    ///
     /// # Errors
     ///
     /// [`NetError::NoWorkers`] for an empty address list (fallback
@@ -491,6 +504,7 @@ impl Coordinator {
             .collect();
         let mut cursor = 0usize;
         let mut round = 0u64;
+        let mut dispatches = 0u64;
 
         loop {
             let mut progressed = false;
@@ -605,7 +619,9 @@ impl Coordinator {
                             job,
                             attempts: attempts + 1,
                             chain,
+                            dispatched: dispatches,
                         };
+                        dispatches += 1;
                         progressed = true;
                     }
                     Err(e) => {
@@ -622,7 +638,21 @@ impl Coordinator {
                 }
             }
 
-            // Poll every in-flight shard; fetch the finished ones.
+            // Poll every in-flight shard; fetch the finished ones. The
+            // oldest gets a waiting poll, which the worker answers the
+            // moment that shard finishes (or when the poll's bound
+            // runs out): it paces the round. The others get a plain
+            // poll.
+            let oldest = slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, slot)| match slot {
+                    Slot::Pending { dispatched, .. } => Some((*dispatched, i)),
+                    _ => None,
+                })
+                .min()
+                .map(|(_, i)| i);
+            let mut waited = false;
             for i in 0..slots.len() {
                 let (worker, job, attempts) = match &slots[i] {
                     Slot::Pending {
@@ -638,7 +668,13 @@ impl Coordinator {
                     // suspension already requeued it.
                     continue;
                 };
-                match client.poll(job) {
+                let polled = if Some(i) == oldest {
+                    waited = true;
+                    client.poll_wait(job)
+                } else {
+                    client.poll(job)
+                };
+                match polled {
                     Ok(status) if !status.is_terminal() => {}
                     Ok(_) => {
                         let Worker::Live { client, .. } = &mut workers[worker] else {
@@ -690,8 +726,11 @@ impl Coordinator {
                 break;
             }
             round += 1;
-            if !progressed {
-                std::thread::sleep(self.poll_interval);
+            if !progressed && !waited {
+                // Nothing in flight and nothing moved: every usable
+                // worker is on probation. Pace the round so the
+                // round-counted probe schedule spans real time.
+                std::thread::sleep(IDLE_ROUND_PAUSE);
             }
         }
 

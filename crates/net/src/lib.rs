@@ -60,5 +60,7 @@ pub use chaos::{ChaosProxy, ConnFault, FaultPlan};
 pub use client::{NetError, WorkerClient};
 pub use coordinator::{shard_replica_column, BackoffConfig, Coordinator, ShardJob, SleepFn};
 pub use frame::{FrameError, MessageReceiver, MessageSender, FRAME_PREFIX};
-pub use proto::{ErrorCode, JobSpec, ProtoError, Request, Response, WireSolution};
+pub use proto::{
+    ErrorCode, JobSpec, ProtoError, Request, Response, WireSolution, MAX_POLL_WAIT_MS,
+};
 pub use worker::{WorkerConfig, WorkerFault, WorkerHandle, WorkerServer};

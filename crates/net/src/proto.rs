@@ -30,6 +30,12 @@ use hycim_service::{DisposeOutcome, JobStatus};
 
 use crate::json::Value;
 
+/// The longest a worker holds a waiting [`Request::Poll`] before it
+/// answers with the job's current status: a larger `wait_ms` is
+/// clamped to this bound, so one frame never buys more than this much
+/// of a connection thread's time.
+pub const MAX_POLL_WAIT_MS: u64 = 50;
+
 /// A message that decodes structurally but violates the protocol
 /// (missing field, wrong type, unknown verb or tag).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,6 +69,18 @@ fn u64_field(v: &Value, key: &str) -> Result<u64, ProtoError> {
     field(v, key)?
         .as_u64()
         .ok_or_else(|| ProtoError::new(format!("field \"{key}\" must be an unsigned integer")))
+}
+
+/// An optional unsigned field: absent is `None`, present but not an
+/// unsigned integer is an error.
+fn opt_u64_field(v: &Value, key: &str) -> Result<Option<u64>, ProtoError> {
+    v.get(key)
+        .map(|value| {
+            value.as_u64().ok_or_else(|| {
+                ProtoError::new(format!("field \"{key}\" must be an unsigned integer"))
+            })
+        })
+        .transpose()
 }
 
 fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, ProtoError> {
@@ -345,6 +363,11 @@ pub enum Request {
     Poll {
         /// The job id from [`Response::Submitted`].
         job: u64,
+        /// How long the worker may hold the reply waiting for the job
+        /// to turn terminal, in milliseconds (clamped to
+        /// [`MAX_POLL_WAIT_MS`]). `None` — the field is absent from
+        /// the frame — answers at once.
+        wait_ms: Option<u64>,
     },
     /// Take a terminal job's solutions (consumes the entry).
     Fetch {
@@ -370,10 +393,16 @@ impl Request {
                 ("verb", Value::Str("submit".into())),
                 ("spec", spec.to_value()),
             ]),
-            Request::Poll { job } => Value::object(vec![
-                ("verb", Value::Str("poll".into())),
-                ("job", Value::UInt(*job)),
-            ]),
+            Request::Poll { job, wait_ms } => {
+                let mut fields = vec![
+                    ("verb", Value::Str("poll".into())),
+                    ("job", Value::UInt(*job)),
+                ];
+                if let Some(wait_ms) = wait_ms {
+                    fields.push(("wait_ms", Value::UInt(*wait_ms)));
+                }
+                Value::object(fields)
+            }
             Request::Fetch { job } => Value::object(vec![
                 ("verb", Value::Str("fetch".into())),
                 ("job", Value::UInt(*job)),
@@ -396,6 +425,7 @@ impl Request {
             "submit" => Ok(Request::Submit(JobSpec::from_value(field(v, "spec")?)?)),
             "poll" => Ok(Request::Poll {
                 job: u64_field(v, "job")?,
+                wait_ms: opt_u64_field(v, "wait_ms")?,
             }),
             "fetch" => Ok(Request::Fetch {
                 job: u64_field(v, "job")?,
@@ -629,7 +659,18 @@ mod tests {
     fn requests_round_trip() {
         for req in [
             Request::Submit(sample_spec()),
-            Request::Poll { job: 0 },
+            Request::Poll {
+                job: 0,
+                wait_ms: None,
+            },
+            Request::Poll {
+                job: 1,
+                wait_ms: Some(MAX_POLL_WAIT_MS),
+            },
+            Request::Poll {
+                job: 2,
+                wait_ms: Some(u64::MAX),
+            },
             Request::Fetch { job: u64::MAX },
             Request::Cancel { job: 7 },
             Request::Stats,
@@ -774,6 +815,16 @@ mod tests {
             .unwrap_err()
             .message
             .contains("missing field \"job\""));
+
+        let bad_wait = Value::object(vec![
+            ("verb", Value::Str("poll".into())),
+            ("job", Value::UInt(1)),
+            ("wait_ms", Value::Str("soon".into())),
+        ]);
+        assert!(Request::from_value(&bad_wait)
+            .unwrap_err()
+            .message
+            .contains("field \"wait_ms\" must be an unsigned integer"));
 
         let bad_float = Value::object(vec![
             ("assignment", Value::Str("01".into())),

@@ -6,6 +6,12 @@
 //! drop — every job it still owns is disposed through
 //! [`JobService::dispose`]. A coordinator crash therefore never
 //! strands results on a worker; the job table drains back to empty.
+//!
+//! A `poll` that carries `wait_ms` is held on
+//! [`JobService::wait_timeout`] until the job turns terminal or
+//! `min(wait_ms, MAX_POLL_WAIT_MS)` elapses, so a client learns of a
+//! finished job the moment it finishes, and no frame holds its
+//! connection thread longer than the cap.
 
 use std::collections::HashSet;
 use std::io::BufReader;
@@ -13,12 +19,13 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use hycim_obs::ObsRegistry;
 use hycim_service::{DisposeOutcome, JobId, JobService, ServiceConfig, SubmitError};
 
 use crate::frame::{FrameError, MessageReceiver, MessageSender, DEFAULT_MAX_FRAME};
-use crate::proto::{ErrorCode, JobSpec, Request, Response, WireSolution};
+use crate::proto::{ErrorCode, JobSpec, Request, Response, WireSolution, MAX_POLL_WAIT_MS};
 
 /// Deliberate misbehavior for the fault-injection tests — compiled in
 /// unconditionally (it is inert unless configured) so the test suite
@@ -330,13 +337,22 @@ fn handle_request(request: Request, shared: &WorkerShared, owned: &mut HashSet<u
         Request::Stats => Response::Stats {
             stats: shared.obs.snapshot(),
         },
-        Request::Poll { job } => match shared.service.status(JobId::from_raw(job)) {
-            Some(status) => Response::Status { job, status },
-            None => Response::Error {
-                code: ErrorCode::UnknownJob,
-                message: format!("job {job} is not tracked"),
-            },
-        },
+        Request::Poll { job, wait_ms } => {
+            let id = JobId::from_raw(job);
+            let status = match wait_ms {
+                None => shared.service.status(id),
+                Some(wait_ms) => shared
+                    .service
+                    .wait_timeout(id, Duration::from_millis(wait_ms.min(MAX_POLL_WAIT_MS))),
+            };
+            match status {
+                Some(status) => Response::Status { job, status },
+                None => Response::Error {
+                    code: ErrorCode::UnknownJob,
+                    message: format!("job {job} is not tracked"),
+                },
+            }
+        }
         Request::Fetch { job } => fetch(job, shared, owned),
         Request::Cancel { job } => {
             let outcome = shared.service.dispose(JobId::from_raw(job));

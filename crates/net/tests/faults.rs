@@ -3,7 +3,8 @@
 //! corrupted merge, never a leaked job.
 //!
 //! Covered faults: truncated frames, oversized frames, wrong-protocol
-//! peers, unknown verbs, malformed JSON, bad specs, mid-job
+//! peers, unknown verbs, malformed JSON, bad specs, unbounded or
+//! malformed poll waits (clamped to the cap, or refused), mid-job
 //! connection drops, a worker panicking mid-shard (reassigned to the
 //! surviving worker, bit-identically), hung peers (accepted the
 //! connection, never answer — a typed [`NetError::Timeout`], and a
@@ -20,8 +21,14 @@ use hycim_core::{BatchRunner, EngineKind, EngineSettings};
 use hycim_net::{
     shard_replica_column, Coordinator, ErrorCode, FrameError, JobSpec, MessageReceiver,
     MessageSender, NetError, Request, Response, WireSolution, WorkerClient, WorkerConfig,
-    WorkerFault, WorkerHandle, WorkerServer,
+    WorkerFault, WorkerHandle, WorkerServer, MAX_POLL_WAIT_MS,
 };
+use hycim_service::JobStatus;
+
+/// Sweeps that keep an 8-seed shard of [`problem`] on its solve
+/// thread for several times [`MAX_POLL_WAIT_MS`] (about 0.2 s in a
+/// release build and 1 s in a debug build on a 2-vCPU VM).
+const LONG_JOB_SWEEPS: u64 = 20_000;
 
 fn spawn_worker(config: WorkerConfig) -> WorkerHandle {
     WorkerServer::bind("127.0.0.1:0", config)
@@ -106,7 +113,10 @@ fn unknown_verb_gets_a_typed_error_and_the_stream_survives() {
     assert!(message.contains("unknown verb"), "{message}");
 
     // The stream is still synchronized: a real verb works after it.
-    conn.send(&Request::Poll { job: 0 });
+    conn.send(&Request::Poll {
+        job: 0,
+        wait_ms: None,
+    });
     let (code, _) = conn.expect_error();
     assert_eq!(code, ErrorCode::UnknownJob);
     handle.stop();
@@ -121,7 +131,10 @@ fn malformed_json_gets_a_typed_error_and_the_stream_survives() {
     assert_eq!(code, ErrorCode::BadRequest);
 
     // Still synchronized.
-    conn.send(&Request::Poll { job: 1 });
+    conn.send(&Request::Poll {
+        job: 1,
+        wait_ms: None,
+    });
     let (code, _) = conn.expect_error();
     assert_eq!(code, ErrorCode::UnknownJob);
     handle.stop();
@@ -211,6 +224,89 @@ fn bad_specs_fail_the_submit_with_typed_errors() {
     // The connection survived all three rejections.
     let job = client.submit(&good).expect("good spec still submits");
     assert!(!client.wait_fetch(job).expect("fetches").is_empty());
+    assert_drains(&handle);
+    handle.stop();
+}
+
+/// Reads one response and expects a `status` reply for `job`.
+fn expect_status(conn: &mut RawConn, job: u64) -> JobStatus {
+    match conn.recv().expect("frame").expect("a response") {
+        Response::Status {
+            job: polled,
+            status,
+        } => {
+            assert_eq!(polled, job);
+            status
+        }
+        other => panic!("expected a status response, got {other:?}"),
+    }
+}
+
+#[test]
+fn waiting_poll_is_clamped_to_the_cap_and_a_bad_wait_is_refused() {
+    // One solve thread, a long job on it and a second queued behind
+    // it: the queued job cannot turn terminal for a long while, so
+    // an unclamped `wait_ms: u64::MAX` would hold the reply until both
+    // jobs had run (or past the read deadline), and answer terminal.
+    let mut config = WorkerConfig::new();
+    config.threads = 1;
+    let handle = spawn_worker(config);
+    let mut conn = RawConn::connect(handle.addr());
+    conn.stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    let mut long = spec_for(&problem(), (0..8).collect());
+    long.sweeps = LONG_JOB_SWEEPS;
+    let mut jobs = Vec::new();
+    for _ in 0..2 {
+        conn.send(&Request::Submit(long.clone()));
+        match conn.recv().expect("frame").expect("a response") {
+            Response::Submitted { job } => jobs.push(job),
+            other => panic!("expected submitted, got {other:?}"),
+        }
+    }
+    let (head, queued) = (jobs[0], jobs[1]);
+
+    let started = Instant::now();
+    conn.send(&Request::Poll {
+        job: queued,
+        wait_ms: Some(u64::MAX),
+    });
+    let status = expect_status(&mut conn, queued);
+    let held = started.elapsed();
+    assert!(!status.is_terminal(), "{status:?} after {held:?}");
+    assert!(
+        held >= Duration::from_millis(MAX_POLL_WAIT_MS),
+        "answered before the cap: {held:?}"
+    );
+    assert!(
+        held < Duration::from_millis(MAX_POLL_WAIT_MS + 1_000),
+        "held past the cap: {held:?}"
+    );
+
+    // A `wait_ms` that is not an unsigned integer is a typed
+    // bad_request, and the stream keeps serving.
+    for bad in ["\"soon\"", "null", "-1", "1.5", "[]"] {
+        conn.write(
+            format!("hycim1 {{\"verb\":\"poll\",\"job\":{queued},\"wait_ms\":{bad}}}\n").as_bytes(),
+        );
+        let (code, message) = conn.expect_error();
+        assert_eq!(code, ErrorCode::BadRequest, "{bad}: {message}");
+    }
+    conn.send(&Request::Poll {
+        job: queued,
+        wait_ms: None,
+    });
+    assert!(!expect_status(&mut conn, queued).is_terminal());
+
+    for job in [queued, head] {
+        conn.send(&Request::Cancel { job });
+        assert!(matches!(
+            conn.recv().expect("frame"),
+            Some(Response::Cancelled { .. })
+        ));
+    }
+    drop(conn);
     assert_drains(&handle);
     handle.stop();
 }

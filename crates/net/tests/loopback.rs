@@ -10,6 +10,9 @@
 //! * the submit/poll/fetch/cancel verbs behave over the wire,
 //!   including cancelling concurrently with fetching — no stuck
 //!   `Running` entries, job tables drain to zero;
+//! * `wait_fetch` (and a one-shard coordinator run) of a job that
+//!   finishes inside one poll's bound costs exactly three frames
+//!   (submit, one waiting poll, fetch);
 //! * the `stats` verb round-trips a worker's metrics registry, and a
 //!   coordinator scrape sees nonzero frame and shard counters on
 //!   every worker it drove;
@@ -205,6 +208,46 @@ fn verbs_round_trip_over_the_wire() {
 }
 
 #[test]
+fn wait_fetch_of_a_quick_job_costs_three_round_trips() {
+    // A job that finishes inside one poll's bound: submit, one
+    // waiting poll, fetch — no sleep-polling in between.
+    let problem = MaxCut::random(4, 0.5, 1);
+    let (handles, addrs) = spawn_workers(1);
+    let mut client = WorkerClient::connect(addrs[0].as_str()).expect("connect");
+    let frames_in = handles[0].obs().counter("net.frames_in");
+    let before = frames_in.get();
+
+    let mut spec = base_spec(&problem, EngineKind::Software, 1, 1);
+    spec.seeds = vec![3];
+    let job = client.submit(&spec).expect("submit");
+    assert_eq!(client.wait_fetch(job).expect("fetch").len(), 1);
+    assert_eq!(
+        frames_in.get() - before,
+        3,
+        "submit + one waiting poll + fetch"
+    );
+
+    // A one-shard coordinator run costs the same: its oldest pending
+    // shard gets the round's waiting poll.
+    let before = frames_in.get();
+    let (total, jobs) = shard_replica_column(&spec, 1, 5, 0, 1);
+    let merged = Coordinator::new(addrs.clone())
+        .run(total, &jobs)
+        .expect("run");
+    assert_eq!(merged.len(), 1);
+    assert_eq!(
+        frames_in.get() - before,
+        3,
+        "submit + one waiting poll + fetch"
+    );
+
+    assert_drains(&handles[0]);
+    for handle in handles {
+        handle.stop();
+    }
+}
+
+#[test]
 fn stats_verb_round_trips_a_live_workers_registry() {
     let problem = gate_problem();
     let (handles, addrs) = spawn_workers(1);
@@ -217,7 +260,7 @@ fn stats_verb_round_trips_a_live_workers_registry() {
     assert_eq!(solutions.len(), 3);
 
     let stats = client.stats().expect("stats");
-    // The wire layer counted our conversation (submit + polls + fetch,
+    // The wire layer counted our conversation (submit + poll + fetch,
     // and the stats request itself).
     assert!(
         stats.counter("net.frames_in").unwrap_or(0) >= 3,

@@ -15,7 +15,8 @@ use hycim_cop::tsp::Tsp;
 use hycim_cop::{AnyProblem, CopError};
 use hycim_net::json::Value;
 use hycim_net::{
-    FrameError, JobSpec, MessageReceiver, MessageSender, Request, Response, WireSolution,
+    FrameError, JobSpec, MessageReceiver, MessageSender, ProtoError, Request, Response,
+    WireSolution,
 };
 use hycim_service::{DisposeOutcome, JobStatus};
 use proptest::prelude::*;
@@ -108,6 +109,68 @@ fn arb_frame_bytes() -> impl Strategy<Value = Vec<u8>> {
     })
 }
 
+/// Field names of the protocol's messages and payloads.
+#[rustfmt::skip]
+const KEYS: [&str; 25] = [
+    "job", "wait_ms", "spec", "family", "problem", "engine", "sweeps", "hardware_seed",
+    "record_trace", "seeds", "status", "solutions", "assignment", "objective",
+    "reported_energy", "feasible", "iters_to_best", "iterations", "outcome", "stats",
+    "counters", "gauges", "histograms", "code", "message",
+];
+
+/// The ten verb and reply names, then tags and payload strings the
+/// decoders look for.
+#[rustfmt::skip]
+const WORDS: [&str; 20] = [
+    "submit", "poll", "fetch", "cancel", "stats", "submitted", "status", "solutions",
+    "cancelled", "error", "running", "done", "deferred", "bad_request", "maxcut", "hycim",
+    "3 2\n0 1 1\n1 2 2\n", "0110", "3ff0000000000000", "",
+];
+
+/// A JSON document shaped like a protocol message: a `verb` or
+/// `reply` naming one of the ten messages, then each field of
+/// [`KEYS`] present or not, with values (nested up to three levels)
+/// drawn by `picks`. It gets past the dispatch into the field
+/// decoders, where raw bytes rarely reach.
+fn protocol_document(picks: &mut impl Iterator<Item = (u8, u64)>) -> Value {
+    fn pick<const N: usize>(words: &[&str; N], n: u64) -> String {
+        words[(n % N as u64) as usize].to_string()
+    }
+    fn value(picks: &mut impl Iterator<Item = (u8, u64)>, depth: u32) -> Value {
+        let Some((kind, n)) = picks.next() else {
+            return Value::Null;
+        };
+        match kind % 6 {
+            0 => Value::UInt(n),
+            1 => Value::Bool(n % 2 == 1),
+            2 => Value::Str(pick(&WORDS, n)),
+            3 => Value::Null,
+            4 if depth < 3 => Value::Array((0..n % 4).map(|_| value(picks, depth + 1)).collect()),
+            5 if depth < 3 => Value::Object(
+                // Keys stay unique: the parser refuses duplicates.
+                (0..KEYS.len() as u64)
+                    .filter(|k| (n >> k) & 1 == 1)
+                    .take(4)
+                    .map(|k| (KEYS[k as usize].to_string(), value(picks, depth + 1)))
+                    .collect(),
+            ),
+            _ => Value::UInt(n % 4),
+        }
+    }
+    let (head, mask) = picks.next().unwrap_or((0, 0));
+    let tag = if head % 2 == 0 { "verb" } else { "reply" };
+    let mut fields = vec![(
+        tag.to_string(),
+        Value::Str(pick(&WORDS, u64::from(head / 2) % 10)),
+    )];
+    for (k, key) in KEYS.iter().enumerate() {
+        if (mask >> k) & 1 == 1 {
+            fields.push((key.to_string(), value(picks, 1)));
+        }
+    }
+    Value::Object(fields)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -120,6 +183,32 @@ proptest! {
         prop_assert!(!text.contains('\n'), "encoded form is single-line");
         prop_assert_eq!(Value::parse(&text).expect("encoded string parses"), v.clone());
         prop_assert_eq!(round_trip(&v), v);
+    }
+
+    /// The protocol decoders are total: whatever frame the reader
+    /// yields — from raw bytes, or from a document built out of the
+    /// protocol's own keys and tags — `Request::from_value` and
+    /// `Response::from_value` give a message or a typed `ProtoError`,
+    /// never a panic.
+    #[test]
+    fn protocol_decoders_are_total(
+        bytes in arb_frame_bytes(),
+        picks in proptest::collection::vec((any::<u8>(), any::<u64>()), 0..48),
+    ) {
+        let mut wire = b"hycim1 ".to_vec();
+        wire.extend_from_slice(&bytes);
+        wire.push(b'\n');
+        let mut frames = Vec::new();
+        let mut receiver = MessageReceiver::new(wire.as_slice());
+        while let Ok(Some(frame)) = receiver.recv() {
+            frames.push(frame);
+        }
+        frames.push(round_trip(&protocol_document(&mut picks.into_iter())));
+        for frame in frames {
+            // Reaching the end of each call without a panic is the law.
+            let _: Result<Request, ProtoError> = Request::from_value(&frame);
+            let _: Result<Response, ProtoError> = Response::from_value(&frame);
+        }
     }
 
     /// The frame reader is total: on `hycim1 ` plus any bytes it
@@ -147,6 +236,29 @@ proptest! {
             }
         }
     }
+}
+
+/// A `poll` frame from a client that predates `wait_ms` decodes to a
+/// poll the worker answers at once.
+#[test]
+fn poll_without_wait_ms_decodes_to_an_immediate_poll() {
+    let mut receiver = MessageReceiver::new(&b"hycim1 {\"verb\":\"poll\",\"job\":7}\n"[..]);
+    let frame = receiver.recv().expect("recv").expect("one frame");
+    assert_eq!(
+        Request::from_value(&frame).expect("valid frame decodes"),
+        Request::Poll {
+            job: 7,
+            wait_ms: None
+        }
+    );
+    // And the encoder leaves the field out when there is no wait.
+    let encoded = Request::Poll {
+        job: 7,
+        wait_ms: None,
+    }
+    .to_value()
+    .encode();
+    assert!(!encoded.contains("wait_ms"), "{encoded}");
 }
 
 proptest! {
@@ -183,11 +295,13 @@ proptest! {
         }
     }
 
-    /// The id-carrying verbs round-trip for any id.
+    /// The id-carrying verbs round-trip for any id, and `poll` with
+    /// or without any `wait_ms`.
     #[test]
-    fn id_verbs_round_trip(job in any::<u64>()) {
+    fn id_verbs_round_trip(job in any::<u64>(), wait in any::<u64>()) {
         for request in [
-            Request::Poll { job },
+            Request::Poll { job, wait_ms: None },
+            Request::Poll { job, wait_ms: Some(wait) },
             Request::Fetch { job },
             Request::Cancel { job },
         ] {
@@ -277,7 +391,7 @@ proptest! {
     fn trailing_frame_garbage_is_rejected(job in any::<u64>()) {
         let mut wire = Vec::new();
         MessageSender::new(&mut wire)
-            .send(&Request::Poll { job }.to_value())
+            .send(&Request::Poll { job, wait_ms: None }.to_value())
             .expect("send");
         // Splice garbage between the document and the newline.
         let split = wire.len() - 1;

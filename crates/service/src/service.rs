@@ -7,7 +7,7 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use hycim_cop::CopProblem;
 use hycim_core::{default_threads, replica_seed, BatchRunner, Engine};
@@ -412,15 +412,39 @@ impl JobService {
     /// (`None` when the id is unknown or already fetched — possibly
     /// by a concurrent fetcher while waiting).
     pub fn wait(&self, id: JobId) -> Option<JobStatus> {
+        self.wait_until(id, None)
+    }
+
+    /// [`wait`](Self::wait) with a bound: returns the terminal status
+    /// as soon as the job reaches one, or the job's current (queued or
+    /// running) status once `timeout` has elapsed. `None` when the id
+    /// is unknown, already fetched, or disposed while waiting.
+    pub fn wait_timeout(&self, id: JobId, timeout: Duration) -> Option<JobStatus> {
+        // A timeout past the end of `Instant` is no bound at all.
+        self.wait_until(id, Instant::now().checked_add(timeout))
+    }
+
+    fn wait_until(&self, id: JobId, deadline: Option<Instant>) -> Option<JobStatus> {
         let mut state = self.shared.state.lock().expect("service state lock");
         loop {
-            match state.jobs.get(&id.0) {
-                None => return None,
-                Some(entry) if entry.status.is_terminal() => return Some(entry.status),
-                Some(_) => {
-                    state = self.shared.done_cv.wait(state).expect("service state lock");
-                }
+            let status = state.jobs.get(&id.0)?.status;
+            if status.is_terminal() {
+                return Some(status);
             }
+            let done_cv = &self.shared.done_cv;
+            state = match deadline {
+                None => done_cv.wait(state).expect("service state lock"),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Some(status);
+                    }
+                    done_cv
+                        .wait_timeout(state, left)
+                        .expect("service state lock")
+                        .0
+                }
+            };
         }
     }
 
@@ -1075,6 +1099,125 @@ mod tests {
             service.obs().snapshot().counter("service.jobs_failed"),
             Some(1)
         );
+    }
+
+    /// A job that runs until the returned sender fires (or drops), so
+    /// a test decides exactly when the one worker is free again.
+    fn gated_job(service: &JobService) -> (JobId, std::sync::mpsc::Sender<()>) {
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let id = service.submit_with(move || gate.recv().is_ok()).unwrap();
+        (id, release)
+    }
+
+    fn wait_until_running(service: &JobService, id: JobId) {
+        while service.status(id) == Some(JobStatus::Queued) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn wait_timeout_returns_as_soon_as_the_job_finishes() {
+        let service = Arc::new(JobService::start(ServiceConfig::new().with_workers(1)));
+        let (head, release) = gated_job(&service);
+        let waiter = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || {
+                let started = Instant::now();
+                (
+                    service.wait_timeout(head, Duration::from_secs(30)),
+                    started.elapsed(),
+                )
+            })
+        };
+        // Give the waiter time to block first (if it has not yet, it
+        // returns at once and every assertion still holds).
+        std::thread::sleep(Duration::from_millis(20));
+        release.send(()).unwrap();
+        let (status, waited) = waiter.join().unwrap();
+        assert_eq!(status, Some(JobStatus::Done));
+        assert!(
+            waited < Duration::from_secs(10),
+            "slept out the bound: {waited:?}"
+        );
+        // A terminal job answers at once, whatever the bound.
+        assert_eq!(
+            service.wait_timeout(head, Duration::from_secs(30)),
+            Some(JobStatus::Done)
+        );
+    }
+
+    #[test]
+    fn wait_timeout_reports_the_current_status_at_the_deadline() {
+        let service = JobService::start(ServiceConfig::new().with_workers(1));
+        let (head, release) = gated_job(&service);
+        let queued = service.submit_with(|| 7u64).unwrap();
+        wait_until_running(&service, head);
+
+        let bound = Duration::from_millis(20);
+        let started = Instant::now();
+        assert_eq!(service.wait_timeout(head, bound), Some(JobStatus::Running));
+        assert_eq!(service.wait_timeout(queued, bound), Some(JobStatus::Queued));
+        assert!(started.elapsed() >= 2 * bound, "{:?}", started.elapsed());
+        // A zero bound is a plain status read.
+        assert_eq!(
+            service.wait_timeout(queued, Duration::ZERO),
+            Some(JobStatus::Queued)
+        );
+
+        release.send(()).unwrap();
+        let long = Duration::from_secs(30);
+        assert_eq!(service.wait_timeout(queued, long), Some(JobStatus::Done));
+        assert_eq!(service.fetch_value::<u64>(queued).unwrap(), 7);
+        // Unknown and already-fetched ids answer `None` at once.
+        assert_eq!(service.wait_timeout(queued, long), None);
+        assert_eq!(service.wait_timeout(JobId(404), long), None);
+        // A bound past the end of `Instant` is no bound at all.
+        assert_eq!(
+            service.wait_timeout(head, Duration::MAX),
+            Some(JobStatus::Done)
+        );
+    }
+
+    #[test]
+    fn wait_timeout_wakes_when_a_queued_job_is_cancelled() {
+        let service = Arc::new(JobService::start(ServiceConfig::new().with_workers(1)));
+        let (head, release) = gated_job(&service);
+        let disposed = service.submit_with(|| 1u64).unwrap();
+        let drained = service.submit_with(|| 2u64).unwrap();
+        wait_until_running(&service, head);
+        let waiter = |id: JobId| {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || {
+                let started = Instant::now();
+                (
+                    service.wait_timeout(id, Duration::from_secs(30)),
+                    started.elapsed(),
+                )
+            })
+        };
+
+        // `dispose` of a queued job drops its entry: the waiter
+        // wakes to an unknown id. (Each sleep gives a waiter time to
+        // block first; one that has not returns at once, and the
+        // assertions still hold.)
+        let on_disposed = waiter(disposed);
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(service.dispose(disposed), DisposeOutcome::Cancelled);
+        let (status, waited) = on_disposed.join().unwrap();
+        assert_eq!(status, None);
+        assert!(waited < Duration::from_secs(10), "{waited:?}");
+
+        // `cancel_queued` keeps the entry: the waiter wakes to
+        // `Cancelled`.
+        let on_drained = waiter(drained);
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(service.cancel_queued(), 1);
+        let (status, waited) = on_drained.join().unwrap();
+        assert_eq!(status, Some(JobStatus::Cancelled));
+        assert!(waited < Duration::from_secs(10), "{waited:?}");
+
+        release.send(()).unwrap();
+        assert_eq!(service.wait(head), Some(JobStatus::Done));
     }
 
     #[test]
